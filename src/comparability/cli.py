@@ -21,14 +21,16 @@ from .dim4 import (
 )
 from .errors import DomainError, InputError, OracleBoundError
 from .graphs import (
-    Graph, from_edge_list_text, from_graph6, is_prime, to_edge_list_text,
+    Graph, from_edge_list_text, from_graph6, to_edge_list_text,
 )
 from .groups import aut_tree, realize
-from .modular import build_modular_tree, tree_to_dot, tree_to_json
+from .modular import (
+    build_modular_tree, is_prime_graph, tree_of, tree_to_dot, tree_to_json,
+)
 from .oracles import DEFAULT_VERTEX_BOUND, brute_force_aut, brute_force_iso
 from .orientations import count_orientations, transitive_orientations
 from .permgraphs import (
-    build_representation, is_permutation_graph, orientation_pairs,
+    OrientationPair, build_representation, is_permutation_graph,
     prime_symmetry_class, representation_svg,
 )
 
@@ -37,7 +39,6 @@ from .permgraphs import (
 class Config:
     oracle_bound: int
     output_format: str
-    seed: int
 
     def __post_init__(self) -> None:
         if self.oracle_bound < 1:
@@ -113,7 +114,7 @@ def cmd_aut(args, config: Config) -> int:
 def cmd_orientations(args, config: Config) -> int:
     g = load_graph(args.input)
     _require_format(config, ("text", "json"))
-    t = build_modular_tree(g)
+    t = tree_of(g)
     if args.count:
         n = count_orientations(t)
         _emit_json({"count": n}) if config.output_format == "json" \
@@ -141,12 +142,16 @@ def cmd_perm(args, config: Config) -> int:
         else:
             print("not a permutation graph")
         return 0
-    rep = build_representation(g, orientation_pairs(g)[0])
+    # the first orientation of each side: the first of orientation_pairs
+    # without enumerating the rest
+    pair = OrientationPair(next(transitive_orientations(g)),
+                           next(transitive_orientations(g.complement())))
+    rep = build_representation(g, pair)
     if config.output_format == "svg":
         print(representation_svg(rep))
         return 0
     symmetry = None
-    if is_prime(g):
+    if is_prime_graph(g):
         report = prime_symmetry_class(g, max_n=config.oracle_bound)
         symmetry = {"subgroup": report.subgroup,
                     "orbits_size_4": report.orbits_size_4,
@@ -227,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--oracle-bound", type=int,
                         default=DEFAULT_VERTEX_BOUND, metavar="N",
                         help="largest n the brute-force oracles accept")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="modular tree of a graph")
@@ -267,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = Config(args.oracle_bound, args.format, args.seed)
+        config = Config(args.oracle_bound, args.format)
         return args.run(args, config)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InputError
 from .graphs import Graph, is_cycle_graph
-from .oracles import DEFAULT_VERTEX_BOUND, are_isomorphic, brute_force_aut
+from .oracles import DEFAULT_VERTEX_BOUND, brute_force_aut
 from .perms import Permutation
 
 
@@ -238,8 +238,10 @@ def recover_pqr(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...],
 
     Starts from any vertex of degree other than 2 (such a vertex must be
     a p) and takes p-vertices as those at distance divisible by 4,
-    q-vertices as their neighbors, r-vertices as the rest.  The witness
-    graph rebuilt from the classes must reproduce g up to isomorphism.
+    q-vertices as their neighbors, r-vertices as the rest.  The classes
+    are accepted only if they lay out g's edges exactly as a gadget does
+    (checked by ``GadgetGraph``) over a simple original graph; then g is
+    the gadget of that graph under the recovered labels.
     """
     if not g.is_connected():
         raise DomainError("gadgets of connected graphs are connected")
@@ -247,7 +249,7 @@ def recover_pqr(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...],
     if anchor is None:
         raise DomainError("all degrees are 2: a cycle's gadget "
                           "cannot be told apart from a plain cycle")
-    dist = _bfs_distances(g, anchor)
+    dist = g.distances_from(anchor)
     pset = {v for v in range(g.n) if dist[v] % 4 == 0}
     qset = {u for v in pset for u in g.neighbors(v)}
     rset = set(range(g.n)) - pset - qset
@@ -269,27 +271,10 @@ def recover_pqr(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...],
         incidence.append((qv, p_index[pn[0]], r_index[rn[0]]))
     try:
         witness = GadgetGraph(g, p, tuple(sorted(qset)), r, tuple(incidence))
-        rebuilt = construct_cx(witness.original_graph())
+        witness.original_graph()   # rejects two r vertices on one p pair
     except InputError as exc:
         raise DomainError(f"not a gadget: {exc}") from exc
-    if not are_isomorphic(rebuilt.graph, g, max_n=g.n):
-        raise DomainError("recovered classes do not rebuild the graph")
     return p, tuple(sorted(qset)), r
-
-
-def _bfs_distances(g: Graph, start: int) -> list[int]:
-    dist = [-1] * g.n
-    dist[start] = 0
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in g.neighbors(v):
-                if dist[u] == -1:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    return dist
 
 
 def aut_preservation_check(x: Graph,

@@ -2,25 +2,38 @@
 
 Adjacency is kept both as a sorted edge tuple and as per-vertex integer
 bitmasks; the masks make module tests and subset sweeps cheap. Vertex
-labels, when present, are a sidecar and never affect structure.
+labels, when present, are a sidecar and never affect structure.  A graph
+never changes, so its complement and its modular tree are computed at
+most once, on first use, and kept on the object.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
 
 Edge = tuple[int, int]
 
 
+def iter_bits(mask: int) -> Iterator[int]:
+    """The vertex ids whose bits are set in `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Graph:
     """Immutable simple graph. Loops, duplicate edges and directed pairs
     are rejected at construction time."""
 
-    __slots__ = ("n", "_edges", "_masks", "labels", "_hash")
+    # _complement and _tree are filled lazily by complement() and by
+    # modular.tree_of(); neither changes what the graph is
+    __slots__ = ("n", "_edges", "_masks", "labels", "_hash",
+                 "_complement", "_tree")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = (),
                  labels: Sequence[str] | None = None):
@@ -53,6 +66,8 @@ class Graph:
                 raise InputError("label list length must equal vertex count")
         self.labels = labels
         self._hash = hash((n, self._edges))
+        self._complement: Graph | None = None
+        self._tree = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -95,9 +110,14 @@ class Graph:
     # -- derived graphs --------------------------------------------------
 
     def complement(self) -> "Graph":
-        edges = [(u, v) for u, v in combinations(range(self.n), 2)
-                 if not self._masks[u] >> v & 1]
-        return Graph(self.n, edges, self.labels)
+        co = self._complement
+        if co is None:
+            edges = [(u, v) for u, v in combinations(range(self.n), 2)
+                     if not self._masks[u] >> v & 1]
+            co = Graph(self.n, edges, self.labels)
+            co._complement = self
+            self._complement = co
+        return co
 
     def induced(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph on the given vertices, relabeled to 0..k-1 in

@@ -22,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import json
+from typing import Sequence
 
 from .errors import InputError
-from .graphs import Edge, Graph, is_degenerate
+from .graphs import Edge, Graph, iter_bits
 
 STOP = "stop"
 MAXIMAL_MODULES = "maximal_modules"
@@ -44,79 +45,162 @@ class ModularPartition:
     blocks: tuple[tuple[int, ...], ...]
 
 
-def _module_closure(g: Graph, u: int, v: int) -> int:
-    """Bitmask of the smallest module containing {u, v}: any vertex that
-    distinguishes two members must be absorbed."""
-    mask = 1 << u | 1 << v
-    changed = True
-    while changed:
-        changed = False
-        for w in range(g.n):
-            if mask >> w & 1:
+def _mask_to_block(mask: int) -> tuple[int, ...]:
+    return tuple(iter_bits(mask))
+
+
+def _block_order(mask: int) -> tuple[int, tuple[int, ...]]:
+    return mask.bit_count(), _mask_to_block(mask)
+
+
+def _components(adj: Sequence[int], vs: int, co: bool) -> list[int]:
+    """Connected components of the subgraph induced on the vertex set
+    `vs`, or of its complement when `co` is set, by breadth-first search
+    over whole frontiers: each vertex enters one frontier once."""
+    comps = []
+    rest = vs
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            if co:
+                # complement neighbours of the frontier: vs minus the
+                # vertices adjacent to every frontier vertex
+                common = vs
+                for u in iter_bits(frontier):
+                    common &= adj[u]
+                frontier = vs & ~common & ~comp
+            else:
+                reach = 0
+                for u in iter_bits(frontier):
+                    reach |= adj[u]
+                frontier = reach & vs & ~comp
+            comp |= frontier
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
+def _avoiding_modules(adj: Sequence[int], vs: int, v: int) -> list[int]:
+    """The maximal modules of G[vs] that do not contain v; they partition
+    vs minus v.
+
+    Partition refinement from {N(v), non-N(v)}: a vertex w splits every
+    part outside its own into the vertices it sees and those it does not.
+    Each vertex acts once, and again whenever its own part splits, since
+    only then can it split a part it could not split before; touched
+    parts are found through the vertex -> part index, not by a scan.
+    """
+    rest = vs & ~(1 << v)
+    near = adj[v] & rest
+    parts = [p for p in (near, rest & ~near) if p]
+    part_of = {}
+    for i, p in enumerate(parts):
+        for u in iter_bits(p):
+            part_of[u] = i
+    pending = rest
+    while pending:
+        low = pending & -pending
+        pending ^= low
+        w = low.bit_length() - 1
+        nw = adj[w]
+        touch = nw & rest & ~parts[part_of[w]]
+        while touch:
+            i = part_of[(touch & -touch).bit_length() - 1]
+            part = parts[i]
+            touch &= ~part
+            inside = part & nw
+            if inside == part:
                 continue
-            inter = g.adjacency_mask(w) & mask
-            if inter != 0 and inter != mask:
-                mask |= 1 << w
-                changed = True
+            outside = part ^ inside
+            if inside.bit_count() <= outside.bit_count():
+                small, parts[i] = inside, outside
+            else:
+                small, parts[i] = outside, inside
+            j = len(parts)
+            parts.append(small)
+            for u in iter_bits(small):
+                part_of[u] = j
+            pending |= part
+    return parts
+
+
+def _grow_module(adj: Sequence[int], vs: int, module: int, r: int,
+                 new: int) -> int:
+    """Smallest module of G[vs] containing the module `module` (which
+    holds r) and the vertices `new`. A vertex outside splits the set iff
+    it tells some member from r, so each member is examined once."""
+    mask = module | new
+    ar = adj[r]
+    todo = new
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        add = (adj[low.bit_length() - 1] ^ ar) & vs & ~mask
+        if add:
+            mask |= add
+            if mask == vs:
+                break
+            todo |= add
     return mask
 
 
-def _maximal_proper_modules(g: Graph) -> list[int]:
-    """Maximal modules other than V itself, as bitmasks, for a graph whose
-    complement and self are both connected. Overlapping modules merge into
-    modules, and in this branch a merge can never reach all of V."""
-    full = (1 << g.n) - 1
-    cands: list[int] = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            m = _module_closure(g, u, v)
-            if m != full:
-                cands.append(m)
-    merged: list[int] = []
-    for m in cands:
-        group = m
-        keep = []
-        for other in merged:
-            if group & other:
-                group |= other
-            else:
-                keep.append(other)
-        assert group != full, "overlapping proper modules covered V"
-        keep.append(group)
-        merged = keep
-    covered = 0
-    for m in merged:
-        covered |= m
-    for v in range(g.n):
-        if not covered >> v & 1:
-            merged.append(1 << v)
-    return sorted(merged, key=lambda m: (bin(m).count("1"), m))
+def _maximal_proper_modules(adj: Sequence[int], vs: int) -> list[int]:
+    """Maximal modules other than vs itself, for a vertex set on which
+    the graph and its complement are both connected. They partition vs.
+
+    Pivot on the lowest vertex v. Every maximal module avoiding v is
+    either inside v's maximal module Mv or is itself maximal; it lies in
+    Mv exactly when the smallest module holding it and Mv's part found so
+    far stays proper (otherwise that module meets two maximal modules,
+    and over a prime quotient that forces all of vs).
+    """
+    v = (vs & -vs).bit_length() - 1
+    parts = _avoiding_modules(adj, vs, v)
+    mv = 1 << v
+    for part in parts:
+        if part & ~mv:
+            grown = _grow_module(adj, vs, mv, v, part & ~mv)
+            if grown != vs:
+                mv = grown
+    return [mv] + [p for p in parts if not p & mv]
 
 
-def _mask_to_block(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(v for v in range(n) if mask >> v & 1)
+def _step(adj: Sequence[int], vs: int) -> tuple[str, list[int]]:
+    """One Gallai step on the vertex set `vs` of the graph with adjacency
+    masks `adj`; STOP carries no blocks."""
+    if vs & (vs - 1) == 0:
+        return STOP, []
+    edgeless = complete = True
+    for u in iter_bits(vs):
+        nu = adj[u] & vs
+        edgeless = edgeless and not nu
+        complete = complete and nu == vs ^ (1 << u)
+        if not (edgeless or complete):
+            break
+    if edgeless or complete:
+        return STOP, []
+    comps = _components(adj, vs, co=False)
+    if len(comps) > 1:
+        return COMPONENTS, comps
+    comps = _components(adj, vs, co=True)
+    if len(comps) > 1:
+        return COCOMPONENTS, comps
+    blocks = _maximal_proper_modules(adj, vs)
+    if len(blocks) == vs.bit_count():
+        return STOP, []   # prime: every maximal module is a singleton
+    return MAXIMAL_MODULES, blocks
 
 
 def decomposition_step(g: Graph) -> ModularPartition:
     """Single Gallai step; see the module docstring for the case split."""
     if g.n == 0:
         raise InputError("decomposition_step needs at least one vertex")
-    singletons = tuple((v,) for v in range(g.n))
-    if g.n == 1 or is_degenerate(g):
-        return ModularPartition(STOP, singletons)
-    comps = g.connected_components()
-    if len(comps) > 1:
-        blocks = sorted(comps, key=lambda b: (len(b), b))
-        return ModularPartition(COMPONENTS, tuple(blocks))
-    co = g.complement().connected_components()
-    if len(co) > 1:
-        blocks = sorted(co, key=lambda b: (len(b), b))
-        return ModularPartition(COCOMPONENTS, tuple(blocks))
-    masks = _maximal_proper_modules(g)
-    if all(bin(m).count("1") == 1 for m in masks):
-        return ModularPartition(STOP, singletons)  # prime
-    blocks = tuple(_mask_to_block(m, g.n) for m in masks)
-    return ModularPartition(MAXIMAL_MODULES, blocks)
+    adj = [g.adjacency_mask(v) for v in range(g.n)]
+    kind, masks = _step(adj, (1 << g.n) - 1)
+    if kind == STOP:
+        return ModularPartition(STOP, tuple((v,) for v in range(g.n)))
+    masks.sort(key=_block_order)
+    return ModularPartition(kind, tuple(map(_mask_to_block, masks)))
 
 
 def quotient(g: Graph, blocks: tuple[tuple[int, ...], ...]) -> Graph:
@@ -190,23 +274,18 @@ class ModularTree:
         return adj
 
 
-def _classify_leaf(g: Graph) -> str:
-    if g.num_edges == g.n * (g.n - 1) // 2:
-        return COMPLETE          # includes K_1
-    if g.num_edges == 0:
-        return INDEPENDENT
-    return PRIME
-
-
 _INNER_KIND = {MAXIMAL_MODULES: PRIME, COMPONENTS: INDEPENDENT,
                COCOMPONENTS: COMPLETE}
 
 
 class _TreeBuilder:
+    """Builds the tree top-down on vertex sets of the original graph,
+    with an explicit stack in depth-first preorder (node ids and markers
+    come out as a recursive build would number them)."""
+
     def __init__(self, g: Graph):
-        self.g = g
+        self.adj = [g.adjacency_mask(v) for v in range(g.n)]
         self.next_vertex = g.n
-        self.nodes: list[TreeNode | None] = []
         self.normal: set[Edge] = set()
         self.tree: set[tuple[int, int]] = set()
         self.origin: list[tuple[int, int]] = []
@@ -217,43 +296,49 @@ class _TreeBuilder:
         self.origin.extend((m, node_id) for m in out)
         return out
 
-    def build(self, vs: tuple[int, ...]) -> int:
-        local = self.g.induced(vs)
-        back = dict(enumerate(vs))  # local id -> global id
-        step = decomposition_step(local)
-        node_id = len(self.nodes)
-        self.nodes.append(None)
-        if step.kind == STOP:
-            self.normal.update(
-                (min(back[u], back[v]), max(back[u], back[v]))
-                for u, v in local.edges)
-            self.nodes[node_id] = TreeNode(
-                node_id, _classify_leaf(local), True, tuple(vs), (), (),
-                tuple(vs))
-            return node_id
-        blocks = [tuple(back[v] for v in b) for b in step.blocks]
-        blocks.sort(key=lambda b: (len(b), b))
-        k = len(blocks)
-        markers = self._alloc(node_id, k)
-        attach = self._alloc(node_id, k)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if self.g.has_edge(blocks[i][0], blocks[j][0]):
-                    self.normal.add((markers[i], markers[j]))
-            self.tree.add((markers[i], attach[i]))
-        children = []
-        for i, block in enumerate(blocks):
-            child_id = self.build(block)
-            children.append(child_id)
-            child = self.nodes[child_id]
-            assert child is not None
-            self.normal.update(
-                (min(attach[i], w), max(attach[i], w))
-                for w in child.members)
-        self.nodes[node_id] = TreeNode(
-            node_id, _INNER_KIND[step.kind], False, tuple(markers),
-            tuple(children), tuple(attach), tuple(vs))
-        return node_id
+    def build(self, vs: int) -> list[TreeNode]:
+        adj = self.adj
+        # per node: kind, is_leaf, members, children, attach markers, vertices
+        records: list[tuple] = []
+        stack: list[tuple[int, tuple | None, int]] = [(vs, None, -1)]
+        while stack:
+            vs, parent, mprime = stack.pop()
+            node_id = len(records)
+            verts = _mask_to_block(vs)
+            kind, masks = _step(adj, vs)
+            if kind == STOP:
+                edges = [(u, w) for u in verts
+                         for w in iter_bits(adj[u] & vs & -(2 << u))]
+                self.normal.update(edges)
+                k = len(verts)
+                node_kind = (COMPLETE if len(edges) == k * (k - 1) // 2
+                             else INDEPENDENT if not edges else PRIME)
+                record = (node_kind, True, verts, [], (), verts)
+            else:
+                masks.sort(key=_block_order)
+                k = len(masks)
+                markers = self._alloc(node_id, k)
+                attach = self._alloc(node_id, k)
+                reps = [(m & -m).bit_length() - 1 for m in masks]
+                for i in range(k):
+                    ai = adj[reps[i]]
+                    for j in range(i + 1, k):
+                        if ai >> reps[j] & 1:
+                            self.normal.add((markers[i], markers[j]))
+                    self.tree.add((markers[i], attach[i]))
+                record = (_INNER_KIND[kind], False, tuple(markers), [],
+                          tuple(attach), verts)
+                stack.extend((masks[i], record, attach[i])
+                             for i in reversed(range(k)))
+            records.append(record)
+            if parent is not None:
+                parent[3].append(node_id)
+                self.normal.update((min(mprime, w), max(mprime, w))
+                                   for w in record[2])
+        return [TreeNode(i, kind, leaf, members, tuple(children), attach,
+                         verts)
+                for i, (kind, leaf, members, children, attach, verts)
+                in enumerate(records)]
 
 
 def build_modular_tree(g: Graph) -> ModularTree:
@@ -261,12 +346,26 @@ def build_modular_tree(g: Graph) -> ModularTree:
     if g.n == 0:
         raise InputError("build_modular_tree needs at least one vertex")
     b = _TreeBuilder(g)
-    root = b.build(tuple(range(g.n)))
-    nodes = tuple(node for node in b.nodes if node is not None)
-    assert len(nodes) == len(b.nodes)
-    return ModularTree(g.n, b.next_vertex, root, nodes,
+    nodes = b.build((1 << g.n) - 1)
+    return ModularTree(g.n, b.next_vertex, 0, tuple(nodes),
                        frozenset(b.normal), frozenset(b.tree),
                        tuple(b.origin))
+
+
+def tree_of(g: Graph) -> ModularTree:
+    """The modular tree of g, built once per Graph object: every caller
+    that asks about the same graph shares it."""
+    if g._tree is None:
+        g._tree = build_modular_tree(g)
+    return g._tree
+
+
+def is_prime_graph(g: Graph) -> bool:
+    """Primality from the tree: at least 4 vertices and a root that is a
+    prime leaf. Polynomial; ``graphs.is_prime`` is the 2^n oracle."""
+    t = tree_of(g)
+    root = t.nodes[t.root]
+    return g.n >= 4 and root.is_leaf and root.kind == PRIME
 
 
 def alternating_path_adjacent(t: ModularTree, x: int, y: int) -> bool:

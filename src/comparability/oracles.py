@@ -25,6 +25,57 @@ def _check_bound(n: int, max_n: int, what: str) -> None:
             f"{what} refuses n={n}: exceeds oracle bound max_n={max_n}")
 
 
+# -- modules by pairwise closure -----------------------------------------
+
+def _module_closure(g: Graph, u: int, v: int) -> int:
+    """Bitmask of the smallest module containing {u, v}: any vertex that
+    distinguishes two members must be absorbed."""
+    mask = 1 << u | 1 << v
+    changed = True
+    while changed:
+        changed = False
+        for w in range(g.n):
+            if mask >> w & 1:
+                continue
+            inter = g.adjacency_mask(w) & mask
+            if inter != 0 and inter != mask:
+                mask |= 1 << w
+                changed = True
+    return mask
+
+
+def pairwise_maximal_modules(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Maximal modules other than V itself, for a graph whose complement
+    and self are both connected, from the closure of every vertex pair.
+    Overlapping closures merge into modules, and in this case a merge can
+    never reach all of V. Blocks are ordered by (size, contents). Takes
+    about n^4 steps; intended for small n only."""
+    if not g.is_connected() or not g.complement().is_connected():
+        raise InputError("graph and complement must both be connected")
+    full = (1 << g.n) - 1
+    merged: list[int] = []
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            group = _module_closure(g, u, v)
+            if group == full:
+                continue
+            keep = []
+            for other in merged:
+                if group & other:
+                    group |= other
+                else:
+                    keep.append(other)
+            assert group != full, "overlapping proper modules covered V"
+            keep.append(group)
+            merged = keep
+    covered = 0
+    for m in merged:
+        covered |= m
+    merged.extend(1 << v for v in range(g.n) if not covered >> v & 1)
+    blocks = [tuple(v for v in range(g.n) if m >> v & 1) for m in merged]
+    return tuple(sorted(blocks, key=lambda b: (len(b), b)))
+
+
 # -- iterated degree refinement ------------------------------------------
 
 def refine_colors(g: Graph, init: tuple[int, ...] | None = None

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, InputError, OracleBoundError
-from .graphs import Graph, is_prime
-from .modular import COMPLETE, PRIME, ModularTree, build_modular_tree
+from .graphs import Graph, iter_bits
+from .modular import COMPLETE, PRIME, ModularTree, is_prime_graph, tree_of
 from .oracles import DEFAULT_VERTEX_BOUND, brute_force_aut
 from .perms import Permutation, PermutationGroup
 
@@ -94,34 +94,43 @@ def _force_from_seed(g: Graph) -> tuple[frozenset | None, bool]:
     arcs is None when both directions of some edge got forced.  complete
     is False when edges remain untouched, which cannot happen on a prime
     graph (its forcing relation links all edges).
+
+    Arcs live in per-vertex out and in masks, so one arc's forced arcs,
+    and any conflict with arcs already chosen, are a few mask operations;
+    each arc is pushed once.
     """
     edges = g.edges
     if not edges:
         return frozenset(), True
-    chosen: dict[tuple[int, int], tuple[int, int]] = {}
+    adj = [g.adjacency_mask(v) for v in range(g.n)]
+    out = [0] * g.n
+    inn = [0] * g.n
+    a, b = edges[0]
+    out[a] = 1 << b
+    inn[b] = 1 << a
     stack = [edges[0]]
-    chosen[edges[0]] = edges[0]
-
-    def push(x: int, y: int) -> bool:
-        key = (x, y) if x < y else (y, x)
-        prev = chosen.get(key)
-        if prev is None:
-            chosen[key] = (x, y)
-            stack.append((x, y))
-            return True
-        return prev == (x, y)
-
     while stack:
         a, b = stack.pop()
-        for c in g.neighbors(a):
-            if c != b and not g.has_edge(c, b):
-                if not push(a, c):
-                    return None, True
-        for c in g.neighbors(b):
-            if c != a and not g.has_edge(c, a):
-                if not push(c, b):
-                    return None, True
-    return frozenset(chosen.values()), len(chosen) == len(edges)
+        heads = adj[a] & ~adj[b] & ~(1 << b)     # a -> c
+        if heads & inn[a]:
+            return None, True
+        heads &= ~out[a]
+        if heads:
+            out[a] |= heads
+            for c in iter_bits(heads):
+                inn[c] |= 1 << a
+                stack.append((a, c))
+        tails = adj[b] & ~adj[a] & ~(1 << a)     # c -> b
+        if tails & out[b]:
+            return None, True
+        tails &= ~inn[b]
+        if tails:
+            inn[b] |= tails
+            for c in iter_bits(tails):
+                out[c] |= 1 << b
+                stack.append((c, b))
+    arcs = frozenset((u, w) for u in range(g.n) for w in iter_bits(out[u]))
+    return arcs, len(arcs) == len(edges)
 
 
 def _prime_graph_orientations(g: Graph, max_edges: int
@@ -147,7 +156,7 @@ def _prime_graph_orientations(g: Graph, max_edges: int
 def prime_orientations(g: Graph, max_edges: int = DEFAULT_EDGE_BOUND
                        ) -> tuple[Orientation, Orientation]:
     """The two transitive orientations of a prime comparability graph."""
-    if not is_prime(g):
+    if not is_prime_graph(g):
         raise InputError("graph is not prime")
     pair = _prime_graph_orientations(g, max_edges)
     if pair is None:
@@ -162,11 +171,11 @@ def is_comparability(g: Graph, max_edges: int = DEFAULT_EDGE_BOUND) -> bool:
     exhaustive oracle only serves as a fallback and the bound only
     applies there).
     """
-    t = build_modular_tree(g)
-    for node in t.nodes:
-        if node.kind == PRIME:
-            if _prime_graph_orientations(t.node_graph(node.id), max_edges) is None:
-                return False
+    try:
+        # the plans are cached: composing an orientation later reuses them
+        _prime_node_plans(tree_of(g), max_edges)
+    except DomainError:
+        return False
     return True
 
 
@@ -186,7 +195,13 @@ class OrientationChoice:
     linear_orders: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-@lru_cache(maxsize=None)
+# Both caches are keyed on whole trees and hold them: a query asks about a
+# graph and its complement, so a few entries give all the reuse there is,
+# and a bound keeps a long-running process from keeping every tree.
+_TREE_CACHE = 4
+
+
+@lru_cache(maxsize=_TREE_CACHE)
 def _choice_slots(t: ModularTree) -> tuple[tuple[int, ...],
                                            tuple[tuple[int, tuple[int, ...]], ...]]:
     """Node ids needing a prime bit, and (id, members) needing an order."""
@@ -200,7 +215,7 @@ def _choice_slots(t: ModularTree) -> tuple[tuple[int, ...],
     return tuple(prime_ids), tuple(complete_slots)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TREE_CACHE)
 def _prime_node_plans(t: ModularTree, max_edges: int
                       ) -> dict[int, tuple[frozenset, frozenset]]:
     """Per prime node: its two orientations, written in member ids."""
@@ -228,23 +243,48 @@ def orientation_choices(t: ModularTree, max_edges: int = DEFAULT_EDGE_BOUND):
     """Iterate every choice vector exactly once.
 
     Prime bits vary before complete-node orders; within each kind, nodes
-    go in id order and the last slot moves fastest.
+    go in id order and the last slot moves fastest.  The stream is lazy:
+    the first vector costs one pass over the slots however many orders a
+    large complete node has.
     """
     prime_ids, complete_slots = _choice_slots(t)
     _prime_node_plans(t, max_edges)   # fail fast on non-comparability
-    options = [(0, 1)] * len(prime_ids) + \
-              [tuple(itertools.permutations(ms)) for _, ms in complete_slots]
+    options = [lambda: (0, 1)] * len(prime_ids) + \
+              [lambda ms=ms: itertools.permutations(ms)
+               for _, ms in complete_slots]
+    complete_ids = tuple(nid for nid, _ in complete_slots)
 
     def stream():
-        for combo in itertools.product(*options):
-            bits = combo[:len(prime_ids)]
-            orders = combo[len(prime_ids):]
+        for combo in _product(options):
             yield OrientationChoice(
-                prime_bits=tuple(zip(prime_ids, bits)),
-                linear_orders=tuple(zip((nid for nid, _ in complete_slots),
-                                        orders)))
+                prime_bits=tuple(zip(prime_ids, combo[:len(prime_ids)])),
+                linear_orders=tuple(zip(complete_ids,
+                                        combo[len(prime_ids):])))
 
     return stream()
+
+
+_END = object()
+
+
+def _product(options):
+    """itertools.product over fresh iterables from `options`, in the same
+    order, holding one item of each instead of materializing them all."""
+    iters = [iter(make()) for make in options]
+    current = [next(it) for it in iters]
+    while True:
+        yield tuple(current)
+        i = len(iters) - 1
+        while i >= 0:
+            nxt = next(iters[i], _END)
+            if nxt is not _END:
+                current[i] = nxt
+                break
+            iters[i] = iter(options[i]())
+            current[i] = next(iters[i])
+            i -= 1
+        if i < 0:
+            return
 
 
 def compose_orientation(t: ModularTree, c: OrientationChoice,
@@ -254,6 +294,13 @@ def compose_orientation(t: ModularTree, c: OrientationChoice,
     A quotient arc m_i -> m_j orients every edge between the two child
     blocks from block i to block j; leaf arcs orient themselves.
     """
+    arcs = _compose_arcs(t, c, max_edges)
+    edges = sorted(tuple(sorted(a)) for a in arcs)
+    return Orientation(Graph(t.n, edges), arcs)
+
+
+def _compose_arcs(t: ModularTree, c: OrientationChoice,
+                  max_edges: int) -> frozenset[tuple[int, int]]:
     prime_ids, complete_slots = _choice_slots(t)
     bits = dict(c.prime_bits)
     orders = dict(c.linear_orders)
@@ -292,16 +339,14 @@ def compose_orientation(t: ModularTree, c: OrientationChoice,
             for u in under[tail]:
                 for v in under[head]:
                     arcs.add((u, v))
-
-    edges = sorted(tuple(sorted(a)) for a in arcs)
-    return Orientation(Graph(t.n, edges), frozenset(arcs))
+    return frozenset(arcs)
 
 
 def transitive_orientations(g: Graph, max_edges: int = DEFAULT_EDGE_BOUND):
     """All transitive orientations, lazily, one per choice vector."""
-    t = build_modular_tree(g)
+    t = tree_of(g)
     choices = orientation_choices(t, max_edges)
-    return (compose_orientation(t, c, max_edges) for c in choices)
+    return (Orientation(g, _compose_arcs(t, c, max_edges)) for c in choices)
 
 
 def count_orientations(t: ModularTree, max_edges: int = DEFAULT_EDGE_BOUND) -> int:

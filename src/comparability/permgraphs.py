@@ -24,8 +24,8 @@ from functools import lru_cache
 from importlib import resources
 
 from .errors import InputError, OracleBoundError
-from .graphs import Graph, disjoint_union, is_prime, substitute
-from .modular import build_modular_tree
+from .graphs import Graph, disjoint_union, substitute
+from .modular import is_prime_graph, tree_of
 from .oracles import DEFAULT_VERTEX_BOUND, brute_force_aut, nonisomorphic_graphs
 from .orientations import (
     DEFAULT_EDGE_BOUND, Orientation, _act_arcs, _arcs_transitive, act,
@@ -90,8 +90,8 @@ def orientation_pairs(g: Graph, max_pairs: int = DEFAULT_PAIR_BOUND,
                       max_edges: int = DEFAULT_EDGE_BOUND
                       ) -> tuple[OrientationPair, ...]:
     """Every (orientation, complement orientation) pair, in stream order."""
-    t = build_modular_tree(g)
-    tc = build_modular_tree(g.complement())
+    t = tree_of(g)
+    tc = tree_of(g.complement())
     total = count_orientations(t, max_edges) * count_orientations(tc, max_edges)
     if total > max_pairs:
         raise OracleBoundError(
@@ -234,7 +234,7 @@ def _involution_label(sigma: Permutation, o0: Orientation,
 def prime_symmetry_class(g: Graph,
                          max_n: int = DEFAULT_VERTEX_BOUND) -> PrimeSymmetryClass:
     """Classify the automorphism group of a prime permutation graph."""
-    if not is_prime(g):
+    if not is_prime_graph(g):
         raise InputError("graph is not prime")
     if not is_permutation_graph(g):
         raise InputError("graph is not a permutation graph")
@@ -349,7 +349,8 @@ def find_asymmetric_spine(max_n: int = 6) -> Graph:
     """First connected prime permutation graph with trivial group."""
     for n in range(4, max_n + 1):
         for g in nonisomorphic_graphs(n):
-            if g.is_connected() and is_prime(g) and is_permutation_graph(g) \
+            if g.is_connected() and is_prime_graph(g) \
+                    and is_permutation_graph(g) \
                     and brute_force_aut(g).order() == 1:
                 return g
     raise InputError(f"no asymmetric spine up to {max_n} vertices")
@@ -360,7 +361,7 @@ def find_rectangle_spine(n: int = 8) -> tuple[Graph, tuple[int, ...],
     """First prime permutation graph with full rectangle symmetry, vertex
     orbits 4+2+2, and distinctly stabilized size-2 orbits."""
     for g in nonisomorphic_graphs(n):
-        if not is_prime(g) or not is_permutation_graph(g):
+        if not is_prime_graph(g) or not is_permutation_graph(g):
             continue
         aut = brute_force_aut(g)
         if aut.order() != 4 or not aut.exponent_divides_two():

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import random
+import sys
 
 import pytest
 
+from comparability import graphs, oracles, orientations
 from comparability.cli import load_graph, main
 from comparability.errors import InputError
 from comparability.graphs import Graph, from_edge_list_text, to_edge_list_text, to_graph6
 from comparability.modular import build_modular_tree, tree_to_json
+from comparability.permgraphs import LinearOrderPair, intersection_graph
 
 
 def write_graph(tmp_path, name, g):
@@ -189,3 +193,67 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+# -- no exhaustive search on a CLI path -----------------------------------
+
+def _simple_permutation(rng, n):
+    """A random permutation with no interval of 2..n-1 positions holding
+    an interval of values; its permutation graph is prime (n >= 4)."""
+    while True:
+        pi = list(range(n))
+        rng.shuffle(pi)
+        if not any(max(pi[i:j + 1]) - min(pi[i:j + 1]) == j - i
+                   for i in range(n) for j in range(i + 1, n)
+                   if j - i + 1 < n):
+            return pi
+
+
+def _permutation_graph(pi):
+    n = len(pi)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if pi[u] < pi[v]])
+
+
+@pytest.fixture
+def no_sweeps(monkeypatch):
+    """Every exhaustive oracle raises if anything calls it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("exhaustive sweep on a CLI path")
+
+    sweeps = (graphs.is_prime, graphs.all_modules,
+              oracles.pairwise_maximal_modules,
+              orientations.brute_force_transitive_orientations)
+    for name, module in list(sys.modules.items()):
+        if name == "comparability" or name.startswith("comparability."):
+            for attr, value in list(vars(module).items()):
+                if any(value is sweep for sweep in sweeps):
+                    monkeypatch.setattr(module, attr, refuse)
+
+
+def test_cli_paths_run_no_exhaustive_sweep(tmp_path, capsys, no_sweeps):
+    prime = _permutation_graph(_simple_permutation(random.Random(7), 200))
+    cases = {"p22": (Graph.path(22), "prime", 2),
+             "prime200": (prime, "prime", 2),
+             "k8": (Graph.complete(8), "complete", 40320)}
+    for name, (g, kind, count) in cases.items():
+        path = write_graph(tmp_path, name, g)
+        members = " ".join(map(str, range(g.n)))
+        assert run(capsys, "decompose", path)[:2] == \
+            (0, f"node 0 {kind}: {members}\n")
+        assert run(capsys, "orientations", "--count", path)[:2] == \
+            (0, f"{count}\n")
+        code, out, _ = run(capsys, "--format", "svg", "perm", path)
+        assert code == 0 and out.startswith("<svg ")
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "--format", fmt, "perm", path)
+            if name != "k8":
+                assert code == 3 and not out
+                assert f"brute_force_aut refuses n={g.n}" in err
+            elif fmt == "json":
+                data = json.loads(out)
+                rebuilt = intersection_graph(
+                    LinearOrderPair(tuple(data["l1"]), tuple(data["l2"])))
+                assert code == 0 and rebuilt == g and "symmetry" not in data
+            else:
+                assert code == 0 and out.startswith("permutation graph\n")

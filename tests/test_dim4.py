@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from comparability import dim4, oracles
 from comparability.dim4 import (
     ChainCheckReport, ChainSet, GadgetGraph, aut_preservation_check,
     chain_check_report, chains_to_text, construct_cx, four_chains,
@@ -210,6 +213,33 @@ def test_recover_relabeled_gadget():
     p, q, r = recover_pqr(shuffled)
     assert (len(p), len(q), len(r)) == (4, 6, 3)
     assert all(shuffled.degree(v) == 2 for v in q + r)
+
+
+def test_recover_large_gadget_without_oracles(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("recover_pqr called an isomorphism oracle")
+
+    for module in (dim4, oracles):
+        for name in ("are_isomorphic", "brute_force_iso", "brute_force_aut",
+                     "_search_maps"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    rng = random.Random(60)
+    sides = 25
+    edges = {(i, sides + rng.randrange(35)) for i in range(sides)}
+    edges |= {(rng.randrange(sides), j) for j in range(sides, 60)}
+    edges |= {(rng.randrange(sides), rng.randrange(sides, 60))
+              for _ in range(20)}
+    x = Graph(60, edges)
+    assert x.is_connected() and x.is_bipartite()
+    cx = construct_cx(x)
+    n = cx.graph.n
+    perm = list(range(n))
+    rng.shuffle(perm)
+    p, q, r = recover_pqr(cx.graph.relabel(perm))
+    assert p == tuple(sorted(perm[v] for v in cx.p_vertices))
+    assert q == tuple(sorted(perm[v] for v in cx.q_vertices))
+    assert r == tuple(sorted(perm[v] for v in cx.r_vertices))
 
 
 def test_aut_preservation_examples():

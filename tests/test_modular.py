@@ -4,18 +4,24 @@ paths, uniqueness."""
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
+from comparability import modular
 from comparability.errors import InputError
-from comparability.graphs import Graph, disjoint_union, is_module, substitute
+from comparability.graphs import (
+    Graph, disjoint_union, is_degenerate, is_module, is_prime, substitute,
+)
 from comparability.modular import (
     COCOMPONENTS, COMPONENTS, MAXIMAL_MODULES, STOP,
     alternating_path_adjacent, build_modular_tree, check_tree,
-    decomposition_step, quotient, tree_to_dot, tree_to_json,
-    trees_isomorphic,
+    decomposition_step, is_prime_graph, quotient, tree_of, tree_to_dot,
+    tree_to_json, trees_isomorphic,
 )
-from comparability.oracles import graphs_up_to, nonisomorphic_graphs
+from comparability.oracles import (
+    graphs_up_to, nonisomorphic_graphs, pairwise_maximal_modules,
+)
 
 
 def test_step_p3_cocomponents():
@@ -188,3 +194,93 @@ def test_dot_export_marks_tree_edges_dashed():
     t = build_modular_tree(Graph.path(3))
     text = tree_to_dot(t)
     assert "style=dashed" in text and "fillcolor=lightgray" in text
+
+
+# -- the one-pivot step against the pairwise-closure oracle ----------------
+
+def _reference_step(g):
+    """decomposition_step by definition: components, co-components, then
+    the closure of every vertex pair."""
+    singletons = tuple((v,) for v in range(g.n))
+    if g.n == 1 or is_degenerate(g):
+        return STOP, singletons
+    for kind, comps in ((COMPONENTS, g.connected_components()),
+                        (COCOMPONENTS, g.complement().connected_components())):
+        if len(comps) > 1:
+            return kind, tuple(sorted(comps, key=lambda b: (len(b), b)))
+    blocks = pairwise_maximal_modules(g)
+    if len(blocks) == g.n:
+        return STOP, singletons
+    return MAXIMAL_MODULES, blocks
+
+
+def _random_graph(rng, n):
+    p = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < p])
+
+
+def _substitution_graph(rng, n):
+    """Nested substitutions of small random, complete, edgeless and path
+    graphs, relabeled at random: graphs with deep, mixed trees."""
+    g = _random_graph(rng, rng.randint(1, 6))
+    while g.n < n:
+        k = rng.randint(2, 5)
+        part = rng.choice((Graph.complete(k), Graph.empty(k),
+                           Graph.path(k), _random_graph(rng, k)))
+        g, _ = substitute(g, {rng.randrange(g.n): part})
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def _assert_step_matches_oracle(g):
+    step = decomposition_step(g)
+    assert (step.kind, step.blocks) == _reference_step(g), g
+
+
+def test_step_agrees_with_pairwise_closure_catalog():
+    for g in graphs_up_to(7):
+        _assert_step_matches_oracle(g)
+
+
+def test_step_agrees_with_pairwise_closure_random_and_substituted():
+    rng = random.Random(2015)
+    for _ in range(25):
+        for g in (_random_graph(rng, rng.randint(2, 60)),
+                  _substitution_graph(rng, rng.randint(2, 60))):
+            _assert_step_matches_oracle(g)
+            _assert_step_matches_oracle(g.complement())
+
+
+def test_tree_primality_equals_subset_sweep_n_le_7():
+    for g in graphs_up_to(7):
+        assert is_prime_graph(g) == is_prime(g), g
+
+
+def test_tree_and_complement_built_once_per_graph(monkeypatch):
+    g = Graph.path(6)
+    assert g.complement() is g.complement()
+    assert g.complement().complement() is g
+    calls = []
+    real = modular.build_modular_tree
+    monkeypatch.setattr(modular, "build_modular_tree",
+                        lambda h: calls.append(h) or real(h))
+    assert tree_of(g) is tree_of(g)
+    assert tree_to_json(tree_of(g)) == tree_to_json(real(g))
+    assert calls == [g]
+
+
+def test_deep_tree_builds_past_the_recursion_limit():
+    # a threshold graph nests one tree level per vertex pair: 1098 levels,
+    # deeper than the interpreter's default recursion limit
+    n = 1100
+    g = Graph(n, [(u, v) for v in range(0, n, 2) for u in range(v)])
+    t = build_modular_tree(g)
+    depth = {t.root: 0}
+    for node in t.nodes:
+        for child in node.children:
+            depth[child] = depth[node.id] + 1
+    assert max(depth.values()) == n - 2
+    assert sorted(v for nd in t.nodes if nd.is_leaf for v in nd.members) \
+        == list(range(n))

@@ -8,11 +8,12 @@ from math import factorial
 
 import pytest
 
-from comparability.errors import OracleBoundError
-from comparability.graphs import Graph, disjoint_union
+from comparability.errors import InputError, OracleBoundError
+from comparability.graphs import Graph, disjoint_union, substitute
 from comparability.oracles import (
     are_isomorphic, brute_force_aut, brute_force_iso, canonical_key,
-    graphs_up_to, nonisomorphic_graphs, poset_automorphisms, refine_colors,
+    graphs_up_to, nonisomorphic_graphs, pairwise_maximal_modules,
+    poset_automorphisms, refine_colors,
 )
 
 
@@ -129,3 +130,14 @@ def test_are_isomorphic_on_disjoint_unions():
     a = disjoint_union([Graph.path(3), Graph.complete(2)])
     b = disjoint_union([Graph.complete(2), Graph.path(3)])
     assert are_isomorphic(a, b)
+
+
+def test_pairwise_maximal_modules():
+    g, _ = substitute(Graph.path(4), {1: Graph.empty(2)})
+    assert pairwise_maximal_modules(g) == ((0,), (3,), (4,), (1, 2))
+    assert pairwise_maximal_modules(Graph.path(5)) == \
+        tuple((v,) for v in range(5))
+    with pytest.raises(InputError):
+        pairwise_maximal_modules(disjoint_union([Graph.path(4)] * 2))
+    with pytest.raises(InputError):
+        pairwise_maximal_modules(Graph.path(3))     # complement disconnected

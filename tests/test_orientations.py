@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from comparability.errors import DomainError, InputError, OracleBoundError
-from comparability.graphs import Graph
+from comparability.graphs import Graph, substitute
 from comparability.modular import build_modular_tree
 from comparability.orientations import (
-    Orientation, OrientationChoice, act, brute_force_transitive_orientations,
-    compose_orientation, count_orientations, is_comparability, is_transitive,
-    orientation_choices, orientation_stabilizer, prime_orientations,
-    transitive_orientations,
+    Orientation, OrientationChoice, _choice_slots, _prime_node_plans, act,
+    brute_force_transitive_orientations, compose_orientation,
+    count_orientations, is_comparability, is_transitive, orientation_choices,
+    orientation_stabilizer, prime_orientations, transitive_orientations,
 )
 from comparability.oracles import (
     graphs_up_to, nonisomorphic_graphs, poset_automorphisms,
@@ -193,6 +195,32 @@ def test_choice_stream_shape():
     choices = list(orientation_choices(t))
     assert len(choices) == count_orientations(t)
     assert len(set(choices)) == len(choices)
+
+
+def test_choice_stream_runs_in_product_order_lazily():
+    g, _ = substitute(Graph.path(4), {0: Graph.complete(3),
+                                      3: Graph.complete(2)})
+    t = build_modular_tree(g)
+    primes = [nd.id for nd in t.nodes if nd.kind == "prime"]
+    completes = [(nd.id, nd.members) for nd in t.nodes
+                 if nd.kind == "complete" and len(nd.members) >= 2]
+    assert len(primes) == 1 and len(completes) == 2
+    expected = [
+        OrientationChoice(tuple(zip(primes, combo[:1])),
+                          tuple(zip([i for i, _ in completes], combo[1:])))
+        for combo in itertools.product(
+            (0, 1), *(itertools.permutations(ms) for _, ms in completes))]
+    assert list(orientation_choices(t)) == expected
+    # 12! orders: the first one comes without listing the others
+    first = next(orientation_choices(build_modular_tree(Graph.complete(12))))
+    assert first.linear_orders == ((0, tuple(range(12))),)
+
+
+def test_tree_caches_stay_small():
+    for n in range(4, 16):
+        count_orientations(build_modular_tree(Graph.path(n)))
+    assert _prime_node_plans.cache_info().currsize <= 4
+    assert _choice_slots.cache_info().currsize <= 4
 
 
 def test_act_identity_and_flip():

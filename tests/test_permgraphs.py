@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from comparability.errors import DomainError, InputError, OracleBoundError
 from comparability.graphs import Graph, is_prime
-from comparability.modular import build_modular_tree
+from comparability.modular import build_modular_tree, tree_of
+from comparability.orientations import (
+    count_orientations, transitive_orientations,
+)
 from comparability.groups import aut_tree, realize
 from comparability.oracles import brute_force_aut, nonisomorphic_graphs
 from comparability.permgraphs import (
@@ -242,3 +248,30 @@ def test_asymmetric_spine_discovery_matches_fixture():
 @pytest.mark.slow
 def test_rectangle_spine_discovery_matches_fixture():
     assert find_rectangle_spine() == rectangle_spine()
+
+
+# -- two random orders past the oracle bound ------------------------------
+
+@st.composite
+def two_orders(draw):
+    n = draw(st.integers(1, 200))
+    return (tuple(draw(st.permutations(range(n)))),
+            tuple(draw(st.permutations(range(n)))))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(two_orders())
+def test_two_order_graphs_recognized_rebuilt_and_counted(orders):
+    g = intersection_graph(LinearOrderPair(*orders))
+    assert is_permutation_graph(g)
+    pair = OrientationPair(next(transitive_orientations(g)),
+                           next(transitive_orientations(g.complement())))
+    assert intersection_graph(build_representation(g, pair)) == g
+    t = tree_of(g)
+    expected = 1
+    for node in t.nodes:
+        if node.kind == "prime":
+            expected *= 2
+        elif node.kind == "complete":
+            expected *= math.factorial(len(node.members))
+    assert count_orientations(t) == expected
