@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
+import weakref
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
@@ -31,9 +32,11 @@ class Graph:
     are rejected at construction time."""
 
     # _complement and _tree are filled lazily by complement() and by
-    # modular.tree_of(); neither changes what the graph is
+    # modular.tree_of(); neither changes what the graph is. A complement
+    # refers back to its graph weakly (_origin): with no reference cycle,
+    # dropping a graph frees both graphs and their trees at once
     __slots__ = ("n", "_edges", "_masks", "labels", "_hash",
-                 "_complement", "_tree")
+                 "_complement", "_origin", "_tree", "__weakref__")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = (),
                  labels: Sequence[str] | None = None):
@@ -67,6 +70,7 @@ class Graph:
         self.labels = labels
         self._hash = hash((n, self._edges))
         self._complement: Graph | None = None
+        self._origin: weakref.ref[Graph] | None = None
         self._tree = None
 
     # -- basic accessors -------------------------------------------------
@@ -110,12 +114,12 @@ class Graph:
     # -- derived graphs --------------------------------------------------
 
     def complement(self) -> "Graph":
-        co = self._complement
+        co = self._complement or (self._origin and self._origin())
         if co is None:
             edges = [(u, v) for u, v in combinations(range(self.n), 2)
                      if not self._masks[u] >> v & 1]
             co = Graph(self.n, edges, self.labels)
-            co._complement = self
+            co._origin = weakref.ref(self)
             self._complement = co
         return co
 

@@ -526,20 +526,7 @@ def _assemble(t: ModularTree, node_id: int, max_n: int):
 def _graph_from_tree(t: ModularTree) -> Graph:
     # expand each node's local edges block against block; this is the
     # inverse of tree building and stays independent of the input graph
-    edges = set()
-    for node in t.nodes:
-        inside = set(node.members)
-        if node.is_leaf:
-            under = {m: (m,) for m in node.members}
-        else:
-            under = {m: t.nodes[c].vertices_under
-                     for m, c in zip(node.members, node.children)}
-        for x, y in t.normal_edges:
-            if x in inside and y in inside:
-                for u in under[x]:
-                    for v in under[y]:
-                        edges.add((min(u, v), max(u, v)))
-    return Graph(t.n, sorted(edges))
+    return Graph(t.n, t.expand(e for local in t.local_edges for e in local))
 
 
 def aut_tree(t: ModularTree,
@@ -557,7 +544,11 @@ def aut_tree(t: ModularTree,
     perms = []
     for gmap in gens:
         p = Permutation(tuple(gmap[v] for v in range(t.n)))
-        assert all(check.has_edge(p(u), p(v)) for u, v in check.edges), \
+        # a bijection mapping every edge to an edge is an automorphism,
+        # and an edge with both ends fixed maps to itself
+        assert all(check.has_edge(p(u), p(w))
+                   for u in range(t.n) if p(u) != u
+                   for w in check.neighbors(u)), \
             "assembled generator is not an automorphism"
         perms.append(p)
     return expr, PermutationGroup(t.n, perms)

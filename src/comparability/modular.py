@@ -19,10 +19,10 @@ original adjacency is recoverable from alternating normal/tree-edge paths
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 import json
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
 from .graphs import Edge, Graph, iter_bits
@@ -245,17 +245,71 @@ class ModularTree:
     normal_edges: frozenset[Edge]
     tree_edges: frozenset[tuple[int, int]]   # directed (m_i, m'_i)
     marker_origin: tuple[tuple[int, int], ...]  # (marker id, node id)
+    # node id -> the node's two transitive orientations, filled lazily by
+    # the orientations module; derived from the fields, so not compared
+    prime_plans: dict | None = field(default=None, init=False, compare=False,
+                                     repr=False)
 
     def is_marker(self, v: int) -> bool:
         return v >= self.n
 
+    @cached_property
+    def local_edges(self) -> tuple[tuple[Edge, ...], ...]:
+        """Per node id, the normal edges joining two of its members. The
+        other normal edges join an attachment marker, which belongs to no
+        node, to the members of its child."""
+        owner = {v: node.id for node in self.nodes for v in node.members}
+        local: list[list[Edge]] = [[] for _ in self.nodes]
+        for u, v in self.normal_edges:
+            i = owner.get(u)
+            if i is not None and owner.get(v) == i:
+                local[i].append((u, v))
+        return tuple(map(tuple, local))
+
     def node_graph(self, node_id: int) -> Graph:
         """Graph on the node's members, relabeled by member position."""
-        node = self.nodes[node_id]
-        pos = {v: i for i, v in enumerate(node.members)}
-        edges = [(pos[u], pos[v]) for u, v in self.normal_edges
-                 if u in pos and v in pos]
-        return Graph(len(node.members), edges)
+        pos = {v: i for i, v in enumerate(self.nodes[node_id].members)}
+        return Graph(len(pos), [(pos[u], pos[v])
+                                for u, v in self.local_edges[node_id]])
+
+    @cached_property
+    def choice_slots(self) -> tuple[tuple[int, ...],
+                                    tuple[tuple[int, tuple[int, ...]], ...]]:
+        """The nodes whose orientation is a free choice: the ids of prime
+        nodes, and (id, members) of complete nodes with two or more
+        members."""
+        prime_ids = []
+        complete_slots = []
+        for node in self.nodes:
+            if node.kind == PRIME:
+                prime_ids.append(node.id)
+            elif node.kind == COMPLETE and len(node.members) >= 2:
+                complete_slots.append((node.id, node.members))
+        return tuple(prime_ids), tuple(complete_slots)
+
+    @cached_property
+    def _under(self) -> dict[int, tuple[int, ...]]:
+        under = {}
+        for node in self.nodes:
+            if node.is_leaf:
+                under.update((v, (v,)) for v in node.members)
+            else:
+                under.update((m, self.nodes[c].vertices_under)
+                             for m, c in zip(node.members, node.children))
+        return under
+
+    def expand(self, pairs: Iterable[tuple[int, int]]
+               ) -> Iterator[tuple[int, int]]:
+        """Each pair (a, b) of members of one node as the pairs of original
+        vertices it stands for: every vertex under a against every vertex
+        under b, in that order. A vertex stands for itself, a quotient
+        marker for the vertices of its child."""
+        under = self._under
+        for a, b in pairs:
+            heads = under[b]
+            for u in under[a]:
+                for v in heads:
+                    yield u, v
 
     @cached_property
     def _normal_adj(self) -> dict[int, set[int]]:

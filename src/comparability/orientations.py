@@ -13,11 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DomainError, InputError, OracleBoundError
 from .graphs import Graph, iter_bits
-from .modular import COMPLETE, PRIME, ModularTree, is_prime_graph, tree_of
+from .modular import ModularTree, is_prime_graph, tree_of
 from .oracles import DEFAULT_VERTEX_BOUND, brute_force_aut
 from .perms import Permutation, PermutationGroup
 
@@ -86,14 +85,12 @@ def brute_force_transitive_orientations(g: Graph, max_edges: int = DEFAULT_EDGE_
 
 # -- forcing on prime graphs ----------------------------------------------
 
-def _force_from_seed(g: Graph) -> tuple[frozenset | None, bool]:
+def _force_from_seed(g: Graph) -> frozenset | None:
     """Propagate forced directions from the first edge.
 
     An arc a->b forces a->c for every c adjacent to a but not b, and
-    c->b for every c adjacent to b but not a.  Returns (arcs, complete);
-    arcs is None when both directions of some edge got forced.  complete
-    is False when edges remain untouched, which cannot happen on a prime
-    graph (its forcing relation links all edges).
+    c->b for every c adjacent to b but not a.  Returns the forced arcs,
+    or None when both directions of some edge got forced.
 
     Arcs live in per-vertex out and in masks, so one arc's forced arcs,
     and any conflict with arcs already chosen, are a few mask operations;
@@ -101,7 +98,7 @@ def _force_from_seed(g: Graph) -> tuple[frozenset | None, bool]:
     """
     edges = g.edges
     if not edges:
-        return frozenset(), True
+        return frozenset()
     adj = [g.adjacency_mask(v) for v in range(g.n)]
     out = [0] * g.n
     inn = [0] * g.n
@@ -113,7 +110,7 @@ def _force_from_seed(g: Graph) -> tuple[frozenset | None, bool]:
         a, b = stack.pop()
         heads = adj[a] & ~adj[b] & ~(1 << b)     # a -> c
         if heads & inn[a]:
-            return None, True
+            return None
         heads &= ~out[a]
         if heads:
             out[a] |= heads
@@ -122,58 +119,50 @@ def _force_from_seed(g: Graph) -> tuple[frozenset | None, bool]:
                 stack.append((a, c))
         tails = adj[b] & ~adj[a] & ~(1 << a)     # c -> b
         if tails & out[b]:
-            return None, True
+            return None
         tails &= ~inn[b]
         if tails:
             inn[b] |= tails
             for c in iter_bits(tails):
                 out[c] |= 1 << b
                 stack.append((c, b))
-    arcs = frozenset((u, w) for u in range(g.n) for w in iter_bits(out[u]))
-    return arcs, len(arcs) == len(edges)
+    return frozenset((u, w) for u in range(g.n) for w in iter_bits(out[u]))
 
 
-def _prime_graph_orientations(g: Graph, max_edges: int
+def _prime_graph_orientations(g: Graph
                               ) -> tuple[Orientation, Orientation] | None:
     """Both transitive orientations of a prime graph, or None."""
-    arcs, complete = _force_from_seed(g)
-    if arcs is not None and complete:
-        if not _arcs_transitive(g.n, arcs):
-            return None
-        o = Orientation(g, arcs)
-        return o, o.reversed()
+    arcs = _force_from_seed(g)
     if arcs is None:
         # the seed direction led to a conflict; by symmetry so does the
         # other one, hence no transitive orientation at all
         return None
-    both = brute_force_transitive_orientations(g, max_edges)
-    if not both:
+    # Gallai: the forcing relation of a prime graph links all its edges
+    assert len(arcs) == g.num_edges, "forcing left edges of a prime graph"
+    if not _arcs_transitive(g.n, arcs):
         return None
-    assert len(both) == 2, "prime graph with more than two orientations"
-    return both[0], both[1]
+    o = Orientation(g, arcs)
+    return o, o.reversed()
 
 
-def prime_orientations(g: Graph, max_edges: int = DEFAULT_EDGE_BOUND
-                       ) -> tuple[Orientation, Orientation]:
+def prime_orientations(g: Graph) -> tuple[Orientation, Orientation]:
     """The two transitive orientations of a prime comparability graph."""
     if not is_prime_graph(g):
         raise InputError("graph is not prime")
-    pair = _prime_graph_orientations(g, max_edges)
+    pair = _prime_graph_orientations(g)
     if pair is None:
         raise DomainError("prime graph is not a comparability graph")
     return pair
 
 
-def is_comparability(g: Graph, max_edges: int = DEFAULT_EDGE_BOUND) -> bool:
+def is_comparability(g: Graph) -> bool:
     """A graph is comparability iff every node of its modular tree is.
 
-    Degenerate nodes always are; prime nodes are settled by forcing (the
-    exhaustive oracle only serves as a fallback and the bound only
-    applies there).
+    Degenerate nodes always are; prime nodes are settled by forcing.
     """
     try:
-        # the plans are cached: composing an orientation later reuses them
-        _prime_node_plans(tree_of(g), max_edges)
+        # the plans stay on the tree: composing an orientation reuses them
+        _prime_node_plans(tree_of(g))
     except DomainError:
         return False
     return True
@@ -195,51 +184,28 @@ class OrientationChoice:
     linear_orders: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-# Both caches are keyed on whole trees and hold them: a query asks about a
-# graph and its complement, so a few entries give all the reuse there is,
-# and a bound keeps a long-running process from keeping every tree.
-_TREE_CACHE = 4
-
-
-@lru_cache(maxsize=_TREE_CACHE)
-def _choice_slots(t: ModularTree) -> tuple[tuple[int, ...],
-                                           tuple[tuple[int, tuple[int, ...]], ...]]:
-    """Node ids needing a prime bit, and (id, members) needing an order."""
-    prime_ids = []
-    complete_slots = []
-    for node in t.nodes:
-        if node.kind == PRIME:
-            prime_ids.append(node.id)
-        elif node.kind == COMPLETE and len(node.members) >= 2:
-            complete_slots.append((node.id, node.members))
-    return tuple(prime_ids), tuple(complete_slots)
-
-
-@lru_cache(maxsize=_TREE_CACHE)
-def _prime_node_plans(t: ModularTree, max_edges: int
+def _prime_node_plans(t: ModularTree
                       ) -> dict[int, tuple[frozenset, frozenset]]:
-    """Per prime node: its two orientations, written in member ids."""
+    """Per prime node: its two orientations, written in member ids. They
+    are computed once and kept on the tree."""
+    if t.prime_plans is not None:
+        return t.prime_plans
     plans = {}
-    for node in t.nodes:
-        if node.kind != PRIME:
-            continue
-        pair = _prime_graph_orientations(t.node_graph(node.id), max_edges)
+    for nid in t.choice_slots[0]:
+        pair = _prime_graph_orientations(t.node_graph(nid))
         if pair is None:
             raise DomainError(
-                f"not a comparability graph: tree node {node.id} has no "
+                f"not a comparability graph: tree node {nid} has no "
                 "transitive orientation")
-        plans[node.id] = tuple(
-            frozenset((node.members[a], node.members[b]) for a, b in o.arcs)
+        members = t.nodes[nid].members
+        plans[nid] = tuple(
+            frozenset((members[a], members[b]) for a, b in o.arcs)
             for o in pair)
+    object.__setattr__(t, "prime_plans", plans)
     return plans
 
 
-def _local_edges(t: ModularTree, node_id: int) -> list[tuple[int, int]]:
-    inside = set(t.nodes[node_id].members)
-    return [(u, v) for u, v in t.normal_edges if u in inside and v in inside]
-
-
-def orientation_choices(t: ModularTree, max_edges: int = DEFAULT_EDGE_BOUND):
+def orientation_choices(t: ModularTree):
     """Iterate every choice vector exactly once.
 
     Prime bits vary before complete-node orders; within each kind, nodes
@@ -247,8 +213,8 @@ def orientation_choices(t: ModularTree, max_edges: int = DEFAULT_EDGE_BOUND):
     the first vector costs one pass over the slots however many orders a
     large complete node has.
     """
-    prime_ids, complete_slots = _choice_slots(t)
-    _prime_node_plans(t, max_edges)   # fail fast on non-comparability
+    prime_ids, complete_slots = t.choice_slots
+    _prime_node_plans(t)   # fail fast on non-comparability
     options = [lambda: (0, 1)] * len(prime_ids) + \
               [lambda ms=ms: itertools.permutations(ms)
                for _, ms in complete_slots]
@@ -287,21 +253,20 @@ def _product(options):
             return
 
 
-def compose_orientation(t: ModularTree, c: OrientationChoice,
-                        max_edges: int = DEFAULT_EDGE_BOUND) -> Orientation:
+def compose_orientation(t: ModularTree, c: OrientationChoice) -> Orientation:
     """Expand per-node decisions into an orientation of the whole graph.
 
     A quotient arc m_i -> m_j orients every edge between the two child
     blocks from block i to block j; leaf arcs orient themselves.
     """
-    arcs = _compose_arcs(t, c, max_edges)
+    arcs = _compose_arcs(t, c)
     edges = sorted(tuple(sorted(a)) for a in arcs)
     return Orientation(Graph(t.n, edges), arcs)
 
 
-def _compose_arcs(t: ModularTree, c: OrientationChoice,
-                  max_edges: int) -> frozenset[tuple[int, int]]:
-    prime_ids, complete_slots = _choice_slots(t)
+def _compose_arcs(t: ModularTree, c: OrientationChoice
+                  ) -> frozenset[tuple[int, int]]:
+    prime_ids, complete_slots = t.choice_slots
     bits = dict(c.prime_bits)
     orders = dict(c.linear_orders)
     if sorted(bits) != sorted(prime_ids) or \
@@ -315,44 +280,28 @@ def _compose_arcs(t: ModularTree, c: OrientationChoice,
             raise InputError(
                 f"order for node {nid} is not a permutation of its members")
 
-    plans = _prime_node_plans(t, max_edges)
-    arcs: set[tuple[int, int]] = set()
-    for node in t.nodes:
-        locals_ = _local_edges(t, node.id)
-        if not locals_:
-            continue
-        if node.kind == PRIME:
-            chosen = plans[node.id][bits[node.id]]
-            directed = {tuple(sorted(a)): a for a in chosen}
-        else:
-            rank = {m: i for i, m in enumerate(orders[node.id])}
-            directed = {tuple(sorted((a, b))):
-                        ((a, b) if rank[a] < rank[b] else (b, a))
-                        for a, b in locals_}
-        if node.is_leaf:
-            under = {m: (m,) for m in node.members}
-        else:
-            under = {m: t.nodes[ch].vertices_under
-                     for m, ch in zip(node.members, node.children)}
-        for a, b in locals_:
-            tail, head = directed[tuple(sorted((a, b)))]
-            for u in under[tail]:
-                for v in under[head]:
-                    arcs.add((u, v))
+    plans = _prime_node_plans(t)
+    arcs = set()
+    for nid, bit in bits.items():
+        arcs.update(t.expand(plans[nid][bit]))
+    for nid, order in orders.items():
+        rank = {m: i for i, m in enumerate(order)}
+        arcs.update(t.expand((a, b) if rank[a] < rank[b] else (b, a)
+                             for a, b in t.local_edges[nid]))
     return frozenset(arcs)
 
 
-def transitive_orientations(g: Graph, max_edges: int = DEFAULT_EDGE_BOUND):
+def transitive_orientations(g: Graph):
     """All transitive orientations, lazily, one per choice vector."""
     t = tree_of(g)
-    choices = orientation_choices(t, max_edges)
-    return (Orientation(g, _compose_arcs(t, c, max_edges)) for c in choices)
+    choices = orientation_choices(t)
+    return (Orientation(g, _compose_arcs(t, c)) for c in choices)
 
 
-def count_orientations(t: ModularTree, max_edges: int = DEFAULT_EDGE_BOUND) -> int:
+def count_orientations(t: ModularTree) -> int:
     """Product over nodes: prime 2, complete K_k k!, independent 1."""
-    _prime_node_plans(t, max_edges)   # raises on non-comparability
-    prime_ids, complete_slots = _choice_slots(t)
+    _prime_node_plans(t)   # raises on non-comparability
+    prime_ids, complete_slots = t.choice_slots
     total = 2 ** len(prime_ids)
     for _, members in complete_slots:
         total *= math.factorial(len(members))

@@ -28,7 +28,7 @@ from .graphs import Graph, disjoint_union, substitute
 from .modular import is_prime_graph, tree_of
 from .oracles import DEFAULT_VERTEX_BOUND, brute_force_aut, nonisomorphic_graphs
 from .orientations import (
-    DEFAULT_EDGE_BOUND, Orientation, _act_arcs, _arcs_transitive, act,
+    Orientation, _act_arcs, _arcs_transitive, act,
     count_orientations, is_comparability, is_transitive,
     prime_orientations, transitive_orientations,
 )
@@ -80,25 +80,23 @@ class PrimeSymmetryClass:
     orbits_size_1: int
 
 
-def is_permutation_graph(g: Graph, max_edges: int = DEFAULT_EDGE_BOUND) -> bool:
+def is_permutation_graph(g: Graph) -> bool:
     """Both the graph and its complement admit transitive orientations."""
-    return is_comparability(g, max_edges) and \
-        is_comparability(g.complement(), max_edges)
+    return is_comparability(g) and is_comparability(g.complement())
 
 
-def orientation_pairs(g: Graph, max_pairs: int = DEFAULT_PAIR_BOUND,
-                      max_edges: int = DEFAULT_EDGE_BOUND
+def orientation_pairs(g: Graph, max_pairs: int = DEFAULT_PAIR_BOUND
                       ) -> tuple[OrientationPair, ...]:
     """Every (orientation, complement orientation) pair, in stream order."""
     t = tree_of(g)
     tc = tree_of(g.complement())
-    total = count_orientations(t, max_edges) * count_orientations(tc, max_edges)
+    total = count_orientations(t) * count_orientations(tc)
     if total > max_pairs:
         raise OracleBoundError(
             f"{total} orientation pairs exceeds max_pairs={max_pairs}")
-    bars = list(transitive_orientations(g.complement(), max_edges))
+    bars = list(transitive_orientations(g.complement()))
     return tuple(OrientationPair(o, ob)
-                 for o in transitive_orientations(g, max_edges) for ob in bars)
+                 for o in transitive_orientations(g) for ob in bars)
 
 
 # -- the two-order representation -----------------------------------------

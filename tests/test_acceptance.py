@@ -33,7 +33,6 @@ from comparability.permgraphs import (
     orientation_pairs, pair_action_orbits,
 )
 
-MAX_EDGES = 21      # covers every graph that appears in the sweeps
 MAX_PAIRS = 10 ** 6
 
 K1 = Graph(1, [])
@@ -94,7 +93,7 @@ def test_criterion_3_pair_action_semiregular(capsys):
     """No nonidentity automorphism fixes a pair; orbits have size |Aut|."""
     checked = 0
     for g in all_graphs(7):
-        if not is_permutation_graph(g, MAX_EDGES):
+        if not is_permutation_graph(g):
             continue
         # pair_action_orbits asserts every orbit size equals |Aut(g)|,
         # which by orbit counting leaves no room for fixed pairs
@@ -118,7 +117,7 @@ def test_criterion_4_prime_symmetry_bound(capsys):
     checked = 0
     counterexamples = []
     for g in all_graphs(8, n_min=4):
-        if not is_prime(g) or not is_permutation_graph(g, MAX_EDGES):
+        if not is_prime(g) or not is_permutation_graph(g):
             continue
         aut = brute_force_aut(g)
         if aut.order() not in (1, 2, 4) or not aut.exponent_divides_two():
@@ -137,13 +136,13 @@ def test_criterion_5_gadget_orders(capsys):
     for _, (x1, a1) in inputs.items():
         for _, (x2, a2) in inputs.items():
             g = gadget_product(x1, x2)
-            assert is_permutation_graph(g, MAX_EDGES)
+            assert is_permutation_graph(g)
             assert brute_force_aut(g, max_n=g.n).order() == a1 * a2
             cases += 1
     for _, (y, a) in inputs.items():
         for k in (1, 2, 3):
             g = gadget_wreath(y, k)
-            assert is_permutation_graph(g, MAX_EDGES)
+            assert is_permutation_graph(g)
             assert brute_force_aut(g, max_n=g.n).order() == \
                 a ** k * factorial(k)
             cases += 1
@@ -152,7 +151,7 @@ def test_criterion_5_gadget_orders(capsys):
     for names in triples:
         (x1, a1), (x2, a2), (x3, a3) = (inputs[t] for t in names)
         g = gadget_rectangle(x1, x2, x3)
-        assert is_permutation_graph(g, MAX_EDGES)
+        assert is_permutation_graph(g)
         assert brute_force_aut(g, max_n=g.n).order() == \
             a1 ** 4 * a2 ** 2 * a3 ** 2 * 4
         cases += 1
@@ -219,9 +218,9 @@ def test_criterion_8_two_order_representation(capsys):
     """Every orientation pair's two orders reconstruct the graph."""
     graphs = pairs = 0
     for g in all_graphs(7):
-        if not is_permutation_graph(g, MAX_EDGES):
+        if not is_permutation_graph(g):
             continue
-        for pair in orientation_pairs(g, MAX_PAIRS, MAX_EDGES):
+        for pair in orientation_pairs(g, MAX_PAIRS):
             rep = build_representation(g, pair)
             assert intersection_graph(rep) == g, (g, pair)
             pairs += 1

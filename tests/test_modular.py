@@ -10,6 +10,7 @@ import pytest
 
 from comparability import modular
 from comparability.errors import InputError
+from comparability.groups import _graph_from_tree
 from comparability.graphs import (
     Graph, disjoint_union, is_degenerate, is_module, is_prime, substitute,
 )
@@ -251,6 +252,33 @@ def test_step_agrees_with_pairwise_closure_random_and_substituted():
                   _substitution_graph(rng, rng.randint(2, 60))):
             _assert_step_matches_oracle(g)
             _assert_step_matches_oracle(g.complement())
+
+
+def _assert_index_matches_scan(g):
+    t = build_modular_tree(g)
+    for node in t.nodes:
+        inside = set(node.members)
+        scanned = {(u, v) for u, v in t.normal_edges
+                   if u in inside and v in inside}
+        assert len(t.local_edges[node.id]) == len(scanned)
+        assert set(t.local_edges[node.id]) == scanned, (g, node.id)
+        pos = {v: i for i, v in enumerate(node.members)}
+        assert t.node_graph(node.id) == \
+            Graph(len(pos), [(pos[u], pos[v]) for u, v in scanned])
+    assert _graph_from_tree(t) == g
+
+
+def test_local_edge_index_agrees_with_scan_catalog():
+    for g in graphs_up_to(7):
+        _assert_index_matches_scan(g)
+
+
+def test_local_edge_index_agrees_with_scan_substituted():
+    rng = random.Random(1506)
+    for _ in range(25):
+        g = _substitution_graph(rng, rng.randint(2, 60))
+        _assert_index_matches_scan(g)
+        _assert_index_matches_scan(g.complement())
 
 
 def test_tree_primality_equals_subset_sweep_n_le_7():

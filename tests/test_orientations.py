@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import random
+import time
+import weakref
 
 import pytest
 
 from comparability.errors import DomainError, InputError, OracleBoundError
 from comparability.graphs import Graph, substitute
-from comparability.modular import build_modular_tree
+from comparability.modular import build_modular_tree, tree_of
 from comparability.orientations import (
-    Orientation, OrientationChoice, _choice_slots, _prime_node_plans, act,
+    Orientation, OrientationChoice, act,
     brute_force_transitive_orientations, compose_orientation,
     count_orientations, is_comparability, is_transitive, orientation_choices,
     orientation_stabilizer, prime_orientations, transitive_orientations,
@@ -18,6 +22,7 @@ from comparability.orientations import (
 from comparability.oracles import (
     graphs_up_to, nonisomorphic_graphs, poset_automorphisms,
 )
+from comparability.permgraphs import LinearOrderPair, intersection_graph
 from comparability.perms import Permutation
 
 
@@ -216,11 +221,45 @@ def test_choice_stream_runs_in_product_order_lazily():
     assert first.linear_orders == ((0, tuple(range(12))),)
 
 
-def test_tree_caches_stay_small():
-    for n in range(4, 16):
-        count_orientations(build_modular_tree(Graph.path(n)))
-    assert _prime_node_plans.cache_info().currsize <= 4
-    assert _choice_slots.cache_info().currsize <= 4
+def test_tree_data_is_freed_with_the_tree():
+    # a long-running process keeps no tree, and no orientation plan, of a
+    # graph it has dropped; reference counting alone frees them, so no
+    # cycle (a graph and its complement) leaves them to the cyclic collector
+    def use(n):
+        refs = []
+        for h in (Graph.path(n), Graph.path(n).complement()):
+            t = tree_of(h)
+            count_orientations(t)
+            next(transitive_orientations(h))
+            plans = [o for pair in t.prime_plans.values() for o in pair]
+            assert plans
+            refs += [weakref.ref(x) for x in [t, *plans]]
+        return refs
+
+    gc.disable()
+    try:
+        refs = [r for n in range(4, 16) for r in use(n)]
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
+
+
+def test_orientation_of_a_large_two_order_graph():
+    # a random permutation graph: one big prime node over about n singleton
+    # leaves, about n^2/4 edges; composing once must not cost nodes x edges
+    n = 1000
+    rng = random.Random(1506)
+    l2 = list(range(n))
+    rng.shuffle(l2)
+    g = intersection_graph(LinearOrderPair(tuple(range(n)), tuple(l2)))
+    start = time.perf_counter()
+    count = count_orientations(tree_of(g))
+    assert time.perf_counter() - start < 10
+    start = time.perf_counter()
+    o = next(transitive_orientations(g))
+    assert time.perf_counter() - start < 10
+    assert count >= 2
+    assert o.graph == g and is_transitive(g, o)
 
 
 def test_act_identity_and_flip():
