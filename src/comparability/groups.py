@@ -23,7 +23,7 @@ from typing import Callable
 
 from .errors import InputError, OracleBoundError
 from .graphs import Graph
-from .modular import COMPLETE, INDEPENDENT, PRIME, ModularTree
+from .modular import PRIME, ModularTree
 from .oracles import DEFAULT_VERTEX_BOUND, brute_force_aut, canonical_labeling
 from .perms import Permutation, PermutationGroup
 
@@ -340,57 +340,11 @@ def color_preserving_aut(r: ColoredGraph,
     return PermutationGroup.from_elements(r.graph.n, kept)
 
 
-# -- typed subtree codes --------------------------------------------------
+# -- one bottom-up pass over the tree ---------------------------------------
 
-def _subtree_code(t: ModularTree, node_id: int) -> str:
-    node = t.nodes[node_id]
-    if node.is_leaf:
-        key, _ = canonical_labeling(t.node_graph(node_id))
-        return f"L|{node.kind}|{key}"
-    child_codes = [_subtree_code(t, c) for c in node.children]
-    ranks = _dense_ranks(child_codes)
-    key, _ = canonical_labeling(t.node_graph(node_id), tuple(ranks))
-    return f"I|{node.kind}|{key}|{'+'.join(sorted(child_codes))}"
-
-
-def _dense_ranks(codes: list[str]) -> list[int]:
+def _dense_ranks(codes: tuple[int, ...]) -> tuple[int, ...]:
     order = {c: i for i, c in enumerate(sorted(set(codes)))}
-    return [order[c] for c in codes]
-
-
-def subtree_isomorphism_classes(t: ModularTree) -> ColoredGraph:
-    """Root node graph, markers colored by child-subtree isomorphism class.
-
-    A leaf root has no subtrees hanging off it; its vertices all get
-    color zero.
-    """
-    root = t.nodes[t.root]
-    g = t.node_graph(t.root)
-    if root.is_leaf:
-        return ColoredGraph(g, (0,) * g.n)
-    codes = [_subtree_code(t, c) for c in root.children]
-    return ColoredGraph(g, tuple(_dense_ranks(codes)))
-
-
-# -- recursive assembly ---------------------------------------------------
-
-def _degenerate_quotient_aut(k: int, colors: list[int]) -> PermutationGroup:
-    # every color-preserving permutation works on a complete or edgeless
-    # quotient, so generate each class's full symmetric group directly
-    gens = []
-    for color in set(colors):
-        cls = [i for i in range(k) if colors[i] == color]
-        if len(cls) < 2:
-            continue
-        m = list(range(k))
-        m[cls[0]], m[cls[1]] = m[cls[1]], m[cls[0]]
-        gens.append(Permutation(tuple(m)))
-        if len(cls) > 2:
-            m = list(range(k))
-            for a, b in zip(cls, cls[1:] + cls[:1]):
-                m[a] = b
-            gens.append(Permutation(tuple(m)))
-    return PermutationGroup(k, gens)
+    return tuple(order[c] for c in codes)
 
 
 def _leaf_expr(aut: PermutationGroup) -> GroupExpr:
@@ -458,69 +412,86 @@ def _prime_quotient_expr(a: PermutationGroup,
     return Opaque(total)
 
 
-def _assemble(t: ModularTree, node_id: int, max_n: int):
-    """Returns (expr, code, ref, gens) for the subtree at node_id.
+def _assemble(t: ModularTree, max_n: int):
+    """One pass over the tree, children before parents, left to right.
 
-    ref is a canonical ordering of the original vertices under the node;
-    two isomorphic subtrees list their vertices so that the positional
-    map between their refs is a graph isomorphism.  gens are generator
-    maps (vertex -> vertex dicts) of the subtree's automorphism group.
+    Each node gets (expr, code, ref, gens); a child's entry is dropped
+    once its parent has used it.  code is a small int that two subtrees
+    share iff they are isomorphic, keyed on (leaf or inner, kind, key,
+    sorted child codes): key is a prime node's colored canonical key and
+    None otherwise.  A leaf's members count as children of code -1.
+    ref orders the vertices under the node so that the positional map
+    between the refs of two subtrees of one code is an isomorphism.
+    gens are generator maps holding only the vertices they move.  Only
+    prime nodes reach the oracles, which refuse any past max_n.
+
+    Returns the root's expr and gens, and its children's code ranks.
     """
-    node = t.nodes[node_id]
-    ng = t.node_graph(node_id)
-    if node.is_leaf:
-        if node.kind == PRIME:
-            aut = brute_force_aut(ng, max_n=max_n)
-            expr = _leaf_expr(aut)
-            gens = [{node.members[i]: node.members[p(i)] for i in range(ng.n)}
-                    for p in aut.generators]
+    order = []
+    stack = [t.root]
+    while stack:
+        node_id = stack.pop()
+        order.append(node_id)
+        stack.extend(t.nodes[node_id].children)
+    table: dict[tuple, int] = {}
+    done: dict[int, tuple] = {}
+    for node_id in reversed(order):
+        node = t.nodes[node_id]
+        if node.is_leaf:
+            parts = [(Trivial(), -1, (v,), []) for v in node.members]
         else:
-            expr = sym(ng.n)
-            quotient_aut = _degenerate_quotient_aut(ng.n, [0] * ng.n)
-            gens = [{node.members[i]: node.members[p(i)] for i in range(ng.n)}
-                    for p in quotient_aut.generators]
-        key, canon = canonical_labeling(ng)
-        ref = tuple(sorted(node.members, key=lambda v: canon[node.members.index(v)]))
-        code = f"L|{node.kind}|{key}"
-        return expr, code, ref, gens
+            parts = [done.pop(c) for c in node.children]
+        child_exprs, child_codes, child_refs, child_gens = zip(*parts)
+        colors = _dense_ranks(child_codes)
+        if node.kind == PRIME:
+            ng = t.node_graph(node_id)
+            a = color_preserving_aut(ColoredGraph(ng, colors), max_n=max_n)
+            expr = (_leaf_expr(a) if node.is_leaf
+                    else _prime_quotient_expr(a, child_exprs))
+            key, canon = canonical_labeling(ng, colors)
+            slots = sorted(range(ng.n), key=canon.__getitem__)
+            quotient_gens = [{i: p(i) for i in range(ng.n) if p(i) != i}
+                             for p in a.generators]
+        else:
+            # children of one code are isomorphic and the quotient is
+            # complete or edgeless, so each class is permuted freely
+            classes: dict[int, list[int]] = {}
+            for i, c in enumerate(child_codes):
+                classes.setdefault(c, []).append(i)
+            expr = direct_product(wreath(child_exprs[cls[0]], len(cls))
+                                  for cls in classes.values())
+            quotient_gens = []
+            for cls in classes.values():
+                if len(cls) >= 2:
+                    quotient_gens.append({cls[0]: cls[1], cls[1]: cls[0]})
+                if len(cls) > 2:
+                    quotient_gens.append(dict(zip(cls, cls[1:] + cls[:1])))
+            key = None
+            slots = sorted(range(len(parts)), key=child_codes.__getitem__)
+        code = table.setdefault(
+            (node.is_leaf, node.kind, key, tuple(sorted(child_codes))),
+            len(table))
+        ref = tuple(v for i in slots for v in child_refs[i])
+        gens = [gmap for gs in child_gens for gmap in gs]
+        gens.extend({v: child_refs[j][pos]
+                     for i, j in rho.items()
+                     for pos, v in enumerate(child_refs[i])}
+                    for rho in quotient_gens)
+        done[node_id] = expr, code, ref, gens
+    # the root comes last, so the loop leaves its entry and colors behind
+    return expr, gens, colors
 
-    parts = [_assemble(t, c, max_n) for c in node.children]
-    child_exprs = [p[0] for p in parts]
-    child_codes = [p[1] for p in parts]
-    child_refs = [p[2] for p in parts]
-    colors = _dense_ranks(child_codes)
 
-    if node.kind == PRIME:
-        a = color_preserving_aut(ColoredGraph(ng, tuple(colors)), max_n=max_n)
-        expr = _prime_quotient_expr(a, child_exprs)
-    else:
-        a = _degenerate_quotient_aut(ng.n, colors)
-        classes: dict[str, int] = {}
-        for code in child_codes:
-            classes[code] = classes.get(code, 0) + 1
-        expr = direct_product(
-            [wreath(child_exprs[child_codes.index(code)], count)
-             for code, count in sorted(classes.items())])
+def subtree_isomorphism_classes(t: ModularTree) -> ColoredGraph:
+    """Root node graph, markers colored by child-subtree isomorphism class.
 
-    key, canon = canonical_labeling(ng, tuple(colors))
-    order_of = sorted(range(ng.n), key=lambda i: canon[i])
-    ref = tuple(v for i in order_of for v in child_refs[i])
-    code = f"I|{node.kind}|{key}|{'+'.join(sorted(child_codes))}"
-
-    gens: list[dict[int, int]] = []
-    for i, (_, _, _, child_gens) in enumerate(parts):
-        for gmap in child_gens:
-            whole = {v: v for v in node.vertices_under}
-            whole.update(gmap)
-            gens.append(whole)
-    for rho in a.generators:
-        whole = {}
-        for i in range(ng.n):
-            target = rho(i)
-            for p, v in enumerate(child_refs[i]):
-                whole[v] = child_refs[target][p]
-        gens.append(whole)
-    return expr, code, ref, gens
+    A leaf root has no subtrees hanging off it; its vertices all get
+    color zero.  The classes come from the pass that assembles the
+    group, so a prime node past the default oracle bound is refused
+    with OracleBoundError.
+    """
+    return ColoredGraph(t.node_graph(t.root),
+                        _assemble(t, DEFAULT_VERTEX_BOUND)[2])
 
 
 def _graph_from_tree(t: ModularTree) -> Graph:
@@ -539,16 +510,15 @@ def aut_tree(t: ModularTree,
     expression describes the same group structurally and realize() on it
     matches the concrete order.
     """
-    expr, _, _, gens = _assemble(t, t.root, max_n)
+    expr, gens, _ = _assemble(t, max_n)
     check = _graph_from_tree(t)
     perms = []
     for gmap in gens:
-        p = Permutation(tuple(gmap[v] for v in range(t.n)))
+        p = Permutation(tuple(gmap.get(v, v) for v in range(t.n)))
         # a bijection mapping every edge to an edge is an automorphism,
         # and an edge with both ends fixed maps to itself
         assert all(check.has_edge(p(u), p(w))
-                   for u in range(t.n) if p(u) != u
-                   for w in check.neighbors(u)), \
+                   for u in gmap for w in check.neighbors(u)), \
             "assembled generator is not an automorphism"
         perms.append(p)
     return expr, PermutationGroup(t.n, perms)

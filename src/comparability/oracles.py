@@ -94,16 +94,24 @@ def _refine_uncolored(g: Graph) -> tuple[int, ...]:
 
 
 def _refine(g: Graph, colors: tuple[int, ...]) -> tuple[int, ...]:
+    for _, colors in _refine_rounds(g, colors):
+        pass
+    return colors
+
+
+def _refine_rounds(g: Graph, colors: tuple[int, ...]):
+    """Per refinement round, the vertex signatures and the colors they
+    give; stops after the first round that splits no class."""
     nbrs = [g.neighbors(v) for v in range(g.n)]
     for _ in range(g.n):
         sigs = [(colors[v], tuple(sorted(colors[u] for u in nbrs[v])))
                 for v in range(g.n)]
         ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = tuple(ranking[s] for s in sigs)
+        yield sigs, new
         if new == colors:
-            break
+            return
         colors = new
-    return colors
 
 
 def _color_classes(colors: tuple[int, ...]) -> list[list[int]]:
@@ -257,16 +265,18 @@ def canonical_key(g: Graph, colors: tuple[int, ...] | None = None) -> str:
 
 # -- enumeration of all graphs up to isomorphism -------------------------
 
-def _invariant(g: Graph) -> tuple:
-    return (g.n, g.num_edges, tuple(sorted(g.degrees())),
-            tuple(sorted(refine_colors(g))))
+def _refinement_trace(g: Graph) -> tuple:
+    """n, m and each refinement round's sorted vertex signatures: an
+    isomorphism invariant, since colors are ranks of signatures."""
+    return (g.n, g.num_edges) + tuple(
+        tuple(sorted(sigs)) for sigs, _ in _refine_rounds(g, (0,) * g.n))
 
 
 @lru_cache(maxsize=None)
 def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     """All graphs on n vertices up to isomorphism, generated by extending
     the (n-1)-vertex list with every possible new-vertex neighborhood and
-    discarding duplicates (invariant bucketing plus isomorphism checks).
+    discarding duplicates (refinement-trace buckets plus isomorphism checks).
     Deterministic order. Sizes follow 1, 2, 4, 11, 34, 156, 1044, 12346.
     """
     if n < 1:
@@ -281,7 +291,7 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
             edges = list(old_edges)
             edges.extend((v, n - 1) for v in range(n - 1) if mask >> v & 1)
             h = Graph(n, edges)
-            key = _invariant(h)
+            key = _refinement_trace(h)
             bucket = buckets.setdefault(key, [])
             if any(_search_maps(h, other, None, None, False)
                    for other in bucket):

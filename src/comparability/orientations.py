@@ -64,22 +64,41 @@ def is_transitive(g: Graph, o: Orientation) -> bool:
 
 def brute_force_transitive_orientations(g: Graph, max_edges: int = DEFAULT_EDGE_BOUND
                                         ) -> tuple[Orientation, ...]:
-    """All transitive orientations by trying every direction assignment.
+    """All transitive orientations by a depth-first search over direction
+    assignments, dropping each partial assignment that already holds
+    arcs w->a->b with w-b a non-edge or oriented b->w.
 
-    Deterministic: assignments are scanned in ascending bitmask order,
-    where bit k set means edge k runs high-to-low.
+    Deterministic: results come in ascending bitmask order, where bit k
+    set means edge k runs high-to-low, because edges are assigned from
+    the highest index down, low-to-high before high-to-low.
     """
     edges = g.edges
     m = len(edges)
     if m > max_edges:
         raise OracleBoundError(
             f"{m} edges exceeds the orientation oracle bound max_edges={max_edges}")
+    adj = [g.adjacency_mask(v) for v in range(g.n)]
+    out = [0] * g.n
+    inn = [0] * g.n
     found = []
-    for mask in range(1 << m):
-        arcs = [(v, u) if mask >> k & 1 else (u, v)
-                for k, (u, v) in enumerate(edges)]
-        if _arcs_transitive(g.n, arcs):
-            found.append(Orientation(g, frozenset(arcs)))
+
+    def assign(k: int) -> None:
+        if k < 0:
+            found.append(Orientation(g, frozenset(
+                (a, b) for a in range(g.n) for b in iter_bits(out[a]))))
+            return
+        u, v = edges[k]
+        for a, b in ((u, v), (v, u)):
+            # a->b closes w->a->b or a->b->c without the shortcut arc
+            if inn[a] & (out[b] | ~adj[b]) or out[b] & ~adj[a]:
+                continue
+            out[a] |= 1 << b
+            inn[b] |= 1 << a
+            assign(k - 1)
+            out[a] &= ~(1 << b)
+            inn[b] &= ~(1 << a)
+
+    assign(m - 1)
     return tuple(found)
 
 

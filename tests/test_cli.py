@@ -81,6 +81,16 @@ def test_aut_text_and_verified_json(tmp_path, capsys):
                                "verified": True}
 
 
+def test_aut_on_a_deep_threshold_graph(tmp_path, capsys):
+    # vertex i joins every earlier vertex when i is odd, which gives a
+    # modular tree 598 levels deep
+    n = 600
+    g = Graph(n, [(j, i) for i in range(1, n, 2) for j in range(i)])
+    code, out, err = run(capsys, "aut", write_graph(tmp_path, "thr", g))
+    assert code == 0 and not err
+    assert out == "expression: S2\norder: 2\n"
+
+
 def test_orientations_count_and_list(tmp_path, capsys):
     code, out, _ = run(capsys, "orientations", "--count",
                        write_graph(tmp_path, "k4", Graph.complete(4)))

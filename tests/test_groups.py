@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -178,8 +179,25 @@ def test_subtree_classes_examples():
     assert subtree_isomorphism_classes(t).colors == (0, 0, 0, 0)
 
 
+def _substitution_graph(rng, n):
+    """Nested substitutions of complete, edgeless and path graphs into a
+    small base, relabeled at random: mixed trees with repeated siblings."""
+    g = rng.choice((Graph.empty(3), Graph.complete(3), Graph.path(4),
+                    Graph.path(5)))
+    while g.n < n:
+        k = rng.randint(2, min(4, n + 1 - g.n))
+        part = rng.choice((Graph.complete(k), Graph.empty(k), Graph.path(k)))
+        g, _ = substitute(g, {rng.randrange(g.n): part})
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
 def test_subtree_classes_match_tree_isomorphism():
-    for g in graphs_up_to(6):
+    rng = random.Random(12)
+    substituted = [_substitution_graph(rng, rng.randint(4, 12))
+                   for _ in range(20)]
+    for g in graphs_up_to(6) + tuple(substituted):
         t = build_modular_tree(g)
         root = t.nodes[t.root]
         if root.is_leaf:
@@ -212,6 +230,20 @@ def test_aut_tree_matches_brute_force_n_le_6():
         oracle = brute_force_aut(g)
         assert group.element_maps() == oracle.element_maps(), g.edges
         assert realize(expr) == group.order(), (g.edges, str(expr))
+
+
+def test_aut_tree_large_degenerate_nodes():
+    # a complete leaf of 12 and an independent node over 12 equal
+    # children: codes come from child codes, not from 12! arrangements
+    cases = [(Graph.complete(12), "S12", math.factorial(12)),
+             (disjoint_union([Graph.complete(2)] * 12), "(S2 wr S12)",
+              2 ** 12 * math.factorial(12))]
+    for g, text, order in cases:
+        expr, group = aut_tree(build_modular_tree(g))
+        assert str(expr) == text and realize(expr) == order
+        assert group.orbits() == (tuple(range(g.n)),)
+        for p in group.generators:
+            assert all(g.has_edge(p(u), p(v)) for u, v in g.edges)
 
 
 KLEIN_BASE = Graph(7, [(0, 3), (0, 5), (1, 4), (1, 5), (2, 5), (2, 6),

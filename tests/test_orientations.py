@@ -70,6 +70,36 @@ def test_brute_force_counts():
     assert len(brute_force_transitive_orientations(Graph.empty(3))) == 1
 
 
+def _mask_scan_orientations(g):
+    """Reference for the pruned oracle: every one of the 2^m direction
+    assignments in ascending bitmask order (bit k set: edge k runs
+    high-to-low), kept when transitive."""
+    found = []
+    for mask in range(1 << g.num_edges):
+        arcs = [(v, u) if mask >> k & 1 else (u, v)
+                for k, (u, v) in enumerate(g.edges)]
+        succ = [0] * g.n
+        for u, v in arcs:
+            succ[u] |= 1 << v
+        if all(succ[v] & ~succ[u] == 0 for u, v in arcs):
+            found.append(Orientation(g, frozenset(arcs)))
+    return tuple(found)
+
+
+def test_pruned_oracle_matches_mask_scan():
+    k34 = Graph.complete_bipartite(3, 4)
+    petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)] +
+                     [(i, i + 5) for i in range(5)] +
+                     [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    larger = [k34, Graph(7, k34.edges + ((0, 1),)),
+              Graph.cycle(7).complement(), petersen,
+              Graph.complete_bipartite(3, 5)]
+    assert [h.num_edges for h in larger] == [12, 13, 14, 15, 15]
+    for g in graphs_up_to(6) + tuple(larger):
+        assert brute_force_transitive_orientations(g) == \
+            _mask_scan_orientations(g), g.edges
+
+
 def test_brute_force_bound():
     with pytest.raises(OracleBoundError, match="max_edges=5"):
         brute_force_transitive_orientations(Graph.complete(4), max_edges=5)
