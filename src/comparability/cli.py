@@ -120,7 +120,7 @@ def cmd_orientations(args, config: Config) -> int:
         _emit_json({"count": n}) if config.output_format == "json" \
             else print(n)
         return 0
-    arcs_lists = [sorted(o.arcs) for o in transitive_orientations(g)]
+    arcs_lists = [o.sorted_arcs() for o in transitive_orientations(g)]
     if config.output_format == "json":
         _emit_json({"count": len(arcs_lists),
                     "orientations": [[list(a) for a in arcs]

@@ -31,12 +31,12 @@ class Graph:
     """Immutable simple graph. Loops, duplicate edges and directed pairs
     are rejected at construction time."""
 
-    # _complement and _tree are filled lazily by complement() and by
-    # modular.tree_of(); neither changes what the graph is. A complement
-    # refers back to its graph weakly (_origin): with no reference cycle,
-    # dropping a graph frees both graphs and their trees at once
+    # _complement, _tree and _colors are filled lazily (complement(),
+    # modular.tree_of(), oracles.refine_colors()); none changes what the
+    # graph is. A complement refers back to its graph weakly (_origin): with
+    # no reference cycle, dropping a graph frees both graphs and their trees
     __slots__ = ("n", "_edges", "_masks", "labels", "_hash",
-                 "_complement", "_origin", "_tree", "__weakref__")
+                 "_complement", "_origin", "_tree", "_colors", "__weakref__")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = (),
                  labels: Sequence[str] | None = None):
@@ -72,6 +72,7 @@ class Graph:
         self._complement: Graph | None = None
         self._origin: weakref.ref[Graph] | None = None
         self._tree = None
+        self._colors: tuple[int, ...] | None = None
 
     # -- basic accessors -------------------------------------------------
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InputError, OracleBoundError
-from .graphs import Graph
+from .graphs import Graph, iter_bits
 from .modular import PRIME, ModularTree
 from .oracles import DEFAULT_VERTEX_BOUND, brute_force_aut, canonical_labeling
 from .perms import Permutation, PermutationGroup
@@ -494,12 +494,6 @@ def subtree_isomorphism_classes(t: ModularTree) -> ColoredGraph:
                         _assemble(t, DEFAULT_VERTEX_BOUND)[2])
 
 
-def _graph_from_tree(t: ModularTree) -> Graph:
-    # expand each node's local edges block against block; this is the
-    # inverse of tree building and stays independent of the input graph
-    return Graph(t.n, t.expand(e for local in t.local_edges for e in local))
-
-
 def aut_tree(t: ModularTree,
              max_n: int = DEFAULT_VERTEX_BOUND
              ) -> tuple[GroupExpr, PermutationGroup]:
@@ -511,14 +505,16 @@ def aut_tree(t: ModularTree,
     matches the concrete order.
     """
     expr, gens, _ = _assemble(t, max_n)
-    check = _graph_from_tree(t)
+    # the adjacency, rebuilt from the tree alone, not from the input graph
+    local = [e for edges in t.local_edges for e in edges]
+    adj = t.out_masks(local + [(b, a) for a, b in local])
     perms = []
     for gmap in gens:
         p = Permutation(tuple(gmap.get(v, v) for v in range(t.n)))
         # a bijection mapping every edge to an edge is an automorphism,
         # and an edge with both ends fixed maps to itself
-        assert all(check.has_edge(p(u), p(w))
-                   for u in gmap for w in check.neighbors(u)), \
+        assert all(adj[p(u)] >> p(w) & 1
+                   for u in gmap for w in iter_bits(adj[u])), \
             "assembled generator is not an automorphism"
         perms.append(p)
     return expr, PermutationGroup(t.n, perms)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 import json
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
 from .graphs import Edge, Graph, iter_bits
@@ -49,8 +49,9 @@ def _mask_to_block(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
 
 
-def _block_order(mask: int) -> tuple[int, tuple[int, ...]]:
-    return mask.bit_count(), _mask_to_block(mask)
+def _block_order(mask: int) -> tuple[int, int]:
+    # disjoint blocks: (size, lowest vertex) orders them as (size, contents)
+    return mask.bit_count(), mask & -mask
 
 
 def _components(adj: Sequence[int], vs: int, co: bool) -> list[int]:
@@ -245,6 +246,8 @@ class ModularTree:
     normal_edges: frozenset[Edge]
     tree_edges: frozenset[tuple[int, int]]   # directed (m_i, m'_i)
     marker_origin: tuple[tuple[int, int], ...]  # (marker id, node id)
+    # per vertex or marker id: the original vertices it stands for, as a mask
+    block_masks: tuple[int, ...]
     # node id -> the node's two transitive orientations, filled lazily by
     # the orientations module; derived from the fields, so not compared
     prime_plans: dict | None = field(default=None, init=False, compare=False,
@@ -287,29 +290,25 @@ class ModularTree:
                 complete_slots.append((node.id, node.members))
         return tuple(prime_ids), tuple(complete_slots)
 
-    @cached_property
-    def _under(self) -> dict[int, tuple[int, ...]]:
-        under = {}
-        for node in self.nodes:
-            if node.is_leaf:
-                under.update((v, (v,)) for v in node.members)
-            else:
-                under.update((m, self.nodes[c].vertices_under)
-                             for m, c in zip(node.members, node.children))
-        return under
-
-    def expand(self, pairs: Iterable[tuple[int, int]]
-               ) -> Iterator[tuple[int, int]]:
-        """Each pair (a, b) of members of one node as the pairs of original
-        vertices it stands for: every vertex under a against every vertex
-        under b, in that order. A vertex stands for itself, a quotient
-        marker for the vertices of its child."""
-        under = self._under
+    def out_masks(self, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+        """Per original vertex, the heads of its arcs: a member pair (a, b)
+        joins every vertex under a to every vertex under b. Heads are handed
+        down from the members above a vertex, parents first (in id order)."""
+        block = self.block_masks
+        heads = [0] * self.total_vertices
         for a, b in pairs:
-            heads = under[b]
-            for u in under[a]:
-                for v in heads:
-                    yield u, v
+            heads[a] |= block[b]
+        out = [0] * self.n
+        above = [0] * len(self.nodes)
+        for node in self.nodes:
+            inherited = above[node.id]
+            if node.is_leaf:
+                for v in node.members:
+                    out[v] = inherited | heads[v]
+            else:
+                for m, c in zip(node.members, node.children):
+                    above[c] = inherited | heads[m]
+        return tuple(out)
 
     @cached_property
     def _normal_adj(self) -> dict[int, set[int]]:
@@ -343,6 +342,7 @@ class _TreeBuilder:
         self.normal: set[Edge] = set()
         self.tree: set[tuple[int, int]] = set()
         self.origin: list[tuple[int, int]] = []
+        self.block = [1 << v for v in range(g.n)]
 
     def _alloc(self, node_id: int, count: int) -> list[int]:
         out = list(range(self.next_vertex, self.next_vertex + count))
@@ -373,6 +373,7 @@ class _TreeBuilder:
                 k = len(masks)
                 markers = self._alloc(node_id, k)
                 attach = self._alloc(node_id, k)
+                self.block += masks + [0] * k
                 reps = [(m & -m).bit_length() - 1 for m in masks]
                 for i in range(k):
                     ai = adj[reps[i]]
@@ -403,7 +404,7 @@ def build_modular_tree(g: Graph) -> ModularTree:
     nodes = b.build((1 << g.n) - 1)
     return ModularTree(g.n, b.next_vertex, 0, tuple(nodes),
                        frozenset(b.normal), frozenset(b.tree),
-                       tuple(b.origin))
+                       tuple(b.origin), tuple(b.block))
 
 
 def tree_of(g: Graph) -> ModularTree:

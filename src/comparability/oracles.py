@@ -83,14 +83,12 @@ def refine_colors(g: Graph, init: tuple[int, ...] | None = None
     """Stable coloring from iterated neighborhood refinement. Colors are
     dense ranks of (old color, sorted neighbor colors) signatures, so two
     isomorphic graphs always refine to the same color sequence."""
-    if init is None:
-        return _refine_uncolored(g)
-    return _refine(g, tuple(init))
-
-
-@lru_cache(maxsize=None)
-def _refine_uncolored(g: Graph) -> tuple[int, ...]:
-    return _refine(g, (0,) * g.n)
+    if init is not None:
+        return _refine(g, tuple(init))
+    # kept on the graph, as its tree is, so it lives exactly as long
+    if g._colors is None:
+        g._colors = _refine(g, (0,) * g.n)
+    return g._colors
 
 
 def _refine(g: Graph, colors: tuple[int, ...]) -> tuple[int, ...]:

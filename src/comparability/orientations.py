@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import DomainError, InputError, OracleBoundError
 from .graphs import Graph, iter_bits
@@ -25,41 +26,53 @@ DEFAULT_EDGE_BOUND = 20
 
 @dataclass(frozen=True)
 class Orientation:
-    """One direction per edge of an underlying graph."""
+    """One direction per edge of an underlying graph, as per-vertex
+    out-masks: bit v of out[u] is set when the edge uv runs u -> v."""
 
     graph: Graph
-    arcs: frozenset[tuple[int, int]]
+    out: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs",
-                           frozenset((int(u), int(v)) for u, v in self.arcs))
-        covered = {tuple(sorted(a)) for a in self.arcs}
-        if len(self.arcs) != self.graph.num_edges or \
-                covered != set(self.graph.edges):
+        out = tuple(self.out)
+        object.__setattr__(self, "out", out)
+        adj = [self.graph.adjacency_mask(v) for v in range(self.graph.n)]
+        # a bit outside adj[u] (negative masks have some) leaves the graph;
+        # then each edge is covered once iff out- and in-masks split adj[u]
+        if len(out) != len(adj) or any(o & ~a for o, a in zip(out, adj)) or \
+                any(o ^ i != a for o, i, a in zip(out, _transpose(out), adj)):
             raise InputError("arcs must cover each edge exactly once")
 
+    @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.sorted_arcs())
+
     def sorted_arcs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.arcs))
+        return tuple((u, v) for u, m in enumerate(self.out)
+                     for v in iter_bits(m))
 
     def reversed(self) -> "Orientation":
-        return Orientation(self.graph, frozenset((v, u) for u, v in self.arcs))
+        return Orientation(self.graph, _transpose(self.out))
 
     def __repr__(self) -> str:
         return f"Orientation({list(self.sorted_arcs())!r})"
 
 
-def _arcs_transitive(n: int, arcs) -> bool:
-    succ = [0] * n
-    for u, v in arcs:
-        succ[u] |= 1 << v
-    return all(succ[v] & ~succ[u] == 0 for u, v in arcs)
+def _transpose(out: Sequence[int]) -> list[int]:
+    """The in-masks of the arcs that the out-masks `out` hold."""
+    inn = [0] * len(out)
+    for u, m in enumerate(out):
+        bit = 1 << u
+        for v in iter_bits(m):
+            inn[v] |= bit
+    return inn
 
 
 def is_transitive(g: Graph, o: Orientation) -> bool:
     """True when no arc pair u->v->w misses the shortcut arc u->w."""
     if o.graph != g:
         raise InputError("orientation does not cover this graph's edges")
-    return _arcs_transitive(g.n, o.arcs)
+    out = o.out
+    return all(not out[v] & ~m for m in out for v in iter_bits(m))
 
 
 def brute_force_transitive_orientations(g: Graph, max_edges: int = DEFAULT_EDGE_BOUND
@@ -84,8 +97,7 @@ def brute_force_transitive_orientations(g: Graph, max_edges: int = DEFAULT_EDGE_
 
     def assign(k: int) -> None:
         if k < 0:
-            found.append(Orientation(g, frozenset(
-                (a, b) for a in range(g.n) for b in iter_bits(out[a]))))
+            found.append(Orientation(g, out))
             return
         u, v = edges[k]
         for a, b in ((u, v), (v, u)):
@@ -104,22 +116,22 @@ def brute_force_transitive_orientations(g: Graph, max_edges: int = DEFAULT_EDGE_
 
 # -- forcing on prime graphs ----------------------------------------------
 
-def _force_from_seed(g: Graph) -> frozenset | None:
+def _force_from_seed(g: Graph) -> list[int] | None:
     """Propagate forced directions from the first edge.
 
     An arc a->b forces a->c for every c adjacent to a but not b, and
-    c->b for every c adjacent to b but not a.  Returns the forced arcs,
-    or None when both directions of some edge got forced.
+    c->b for every c adjacent to b but not a.  Returns the forced arcs as
+    out-masks, or None when both directions of some edge got forced.
 
     Arcs live in per-vertex out and in masks, so one arc's forced arcs,
     and any conflict with arcs already chosen, are a few mask operations;
     each arc is pushed once.
     """
     edges = g.edges
-    if not edges:
-        return frozenset()
-    adj = [g.adjacency_mask(v) for v in range(g.n)]
     out = [0] * g.n
+    if not edges:
+        return out
+    adj = [g.adjacency_mask(v) for v in range(g.n)]
     inn = [0] * g.n
     a, b = edges[0]
     out[a] = 1 << b
@@ -145,22 +157,23 @@ def _force_from_seed(g: Graph) -> frozenset | None:
             for c in iter_bits(tails):
                 out[c] |= 1 << b
                 stack.append((c, b))
-    return frozenset((u, w) for u in range(g.n) for w in iter_bits(out[u]))
+    return out
 
 
 def _prime_graph_orientations(g: Graph
                               ) -> tuple[Orientation, Orientation] | None:
     """Both transitive orientations of a prime graph, or None."""
-    arcs = _force_from_seed(g)
-    if arcs is None:
+    out = _force_from_seed(g)
+    if out is None:
         # the seed direction led to a conflict; by symmetry so does the
         # other one, hence no transitive orientation at all
         return None
     # Gallai: the forcing relation of a prime graph links all its edges
-    assert len(arcs) == g.num_edges, "forcing left edges of a prime graph"
-    if not _arcs_transitive(g.n, arcs):
+    assert sum(m.bit_count() for m in out) == g.num_edges, \
+        "forcing left edges of a prime graph"
+    o = Orientation(g, out)
+    if not is_transitive(g, o):
         return None
-    o = Orientation(g, arcs)
     return o, o.reversed()
 
 
@@ -204,9 +217,9 @@ class OrientationChoice:
 
 
 def _prime_node_plans(t: ModularTree
-                      ) -> dict[int, tuple[frozenset, frozenset]]:
-    """Per prime node: its two orientations, written in member ids. They
-    are computed once and kept on the tree."""
+                      ) -> dict[int, tuple[Orientation, Orientation]]:
+    """Per prime node: the two orientations of its node graph (vertex i is
+    the i-th member), computed once and kept on the tree."""
     if t.prime_plans is not None:
         return t.prime_plans
     plans = {}
@@ -216,10 +229,7 @@ def _prime_node_plans(t: ModularTree
             raise DomainError(
                 f"not a comparability graph: tree node {nid} has no "
                 "transitive orientation")
-        members = t.nodes[nid].members
-        plans[nid] = tuple(
-            frozenset((members[a], members[b]) for a, b in o.arcs)
-            for o in pair)
+        plans[nid] = pair
     object.__setattr__(t, "prime_plans", plans)
     return plans
 
@@ -278,13 +288,12 @@ def compose_orientation(t: ModularTree, c: OrientationChoice) -> Orientation:
     A quotient arc m_i -> m_j orients every edge between the two child
     blocks from block i to block j; leaf arcs orient themselves.
     """
-    arcs = _compose_arcs(t, c)
-    edges = sorted(tuple(sorted(a)) for a in arcs)
-    return Orientation(Graph(t.n, edges), arcs)
+    out = _compose(t, c)
+    edges = [(u, v) for u, m in enumerate(out) for v in iter_bits(m)]
+    return Orientation(Graph(t.n, edges), out)
 
 
-def _compose_arcs(t: ModularTree, c: OrientationChoice
-                  ) -> frozenset[tuple[int, int]]:
+def _compose(t: ModularTree, c: OrientationChoice) -> tuple[int, ...]:
     prime_ids, complete_slots = t.choice_slots
     bits = dict(c.prime_bits)
     orders = dict(c.linear_orders)
@@ -300,21 +309,24 @@ def _compose_arcs(t: ModularTree, c: OrientationChoice
                 f"order for node {nid} is not a permutation of its members")
 
     plans = _prime_node_plans(t)
-    arcs = set()
-    for nid, bit in bits.items():
-        arcs.update(t.expand(plans[nid][bit]))
-    for nid, order in orders.items():
-        rank = {m: i for i, m in enumerate(order)}
-        arcs.update(t.expand((a, b) if rank[a] < rank[b] else (b, a)
-                             for a, b in t.local_edges[nid]))
-    return frozenset(arcs)
+
+    def chosen_pairs():
+        for nid, bit in bits.items():
+            members = t.nodes[nid].members
+            for a, m in enumerate(plans[nid][bit].out):
+                for b in iter_bits(m):
+                    yield members[a], members[b]
+        for order in orders.values():
+            yield from itertools.combinations(order, 2)
+
+    return t.out_masks(chosen_pairs())
 
 
 def transitive_orientations(g: Graph):
     """All transitive orientations, lazily, one per choice vector."""
     t = tree_of(g)
     choices = orientation_choices(t)
-    return (Orientation(g, _compose_arcs(t, c)) for c in choices)
+    return (Orientation(g, _compose(t, c)) for c in choices)
 
 
 def count_orientations(t: ModularTree) -> int:
@@ -329,29 +341,26 @@ def count_orientations(t: ModularTree) -> int:
 
 # -- the automorphism action ----------------------------------------------
 
-def _act_arcs(p: Permutation, arcs: frozenset) -> frozenset:
-    return frozenset((p(u), p(v)) for u, v in arcs)
-
-
 def act(p: Permutation, o: Orientation) -> Orientation:
-    """Relabel an orientation by an automorphism of its graph."""
+    """Relabel an orientation by an automorphism of its graph; any other
+    permutation moves an arc onto a non-edge, which the constructor refuses."""
     g = o.graph
     if p.degree != g.n:
         raise InputError("permutation degree does not match the graph")
-    if any(not g.has_edge(p(u), p(v)) for u, v in g.edges):
-        raise InputError("permutation is not an automorphism of the graph")
-    moved = _act_arcs(p, o.arcs)
-    assert _arcs_transitive(g.n, moved) == _arcs_transitive(g.n, o.arcs)
-    return Orientation(g, moved)
+    out = [0] * g.n
+    for u, m in enumerate(o.out):
+        for v in iter_bits(m):
+            out[p(u)] |= 1 << p(v)
+    moved = Orientation(g, out)
+    assert is_transitive(g, moved) == is_transitive(g, o)
+    return moved
 
 
 def orientation_stabilizer(g: Graph, o: Orientation,
                            max_n: int = DEFAULT_VERTEX_BOUND) -> PermutationGroup:
     """Automorphisms of g fixing o; the symmetry group of the poset."""
-    if o.graph != g:
-        raise InputError("orientation does not cover this graph's edges")
-    if not _arcs_transitive(g.n, o.arcs):
+    if not is_transitive(g, o):
         raise InputError("orientation is not transitive")
     aut = brute_force_aut(g, max_n=max_n)
-    fixed = [p for p in aut.elements() if _act_arcs(p, o.arcs) == o.arcs]
+    fixed = [p for p in aut.elements() if act(p, o) == o]
     return PermutationGroup.from_elements(g.n, fixed)

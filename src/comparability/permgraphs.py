@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
 
 from .errors import InputError, OracleBoundError
@@ -28,8 +28,7 @@ from .graphs import Graph, disjoint_union, substitute
 from .modular import is_prime_graph, tree_of
 from .oracles import DEFAULT_VERTEX_BOUND, brute_force_aut, nonisomorphic_graphs
 from .orientations import (
-    Orientation, _act_arcs, _arcs_transitive, act,
-    count_orientations, is_comparability, is_transitive,
+    Orientation, act, count_orientations, is_comparability, is_transitive,
     prime_orientations, transitive_orientations,
 )
 from .perms import Permutation
@@ -101,28 +100,23 @@ def orientation_pairs(g: Graph, max_pairs: int = DEFAULT_PAIR_BOUND
 
 # -- the two-order representation -----------------------------------------
 
-def _tournament_order(n: int, arcs: frozenset) -> tuple[int, ...]:
-    # the union of an orientation and a complement orientation covers all
-    # pairs; transitivity of the union is guaranteed, so any violation
-    # here is a bug, not bad input
-    assert len(arcs) == n * (n - 1) // 2, "union does not cover all pairs"
-    assert _arcs_transitive(n, arcs), "orientation union contains a cycle"
-    out = [0] * n
-    for u, _ in arcs:
-        out[u] += 1
-    order = sorted(range(n), key=lambda v: -out[v])
-    assert sorted(out) == list(range(n)), "tournament out-degrees not distinct"
-    return tuple(order)
+def _tournament_order(o: Orientation, other: Orientation) -> tuple[int, ...]:
+    # an orientation and a complement orientation form a tournament; a
+    # vertex's score (out-degree) is the popcount of its two out-masks, and
+    # the scores are 0..n-1 exactly when the tournament is transitive
+    # (Landau 1953), which is guaranteed: a violation is a bug, not bad input
+    scores = [(a | b).bit_count() for a, b in zip(o.out, other.out)]
+    n = len(scores)
+    assert sorted(scores) == list(range(n)), "tournament scores not distinct"
+    return tuple(sorted(range(n), key=lambda v: -scores[v]))
 
 
 def build_representation(g: Graph, p: OrientationPair) -> LinearOrderPair:
     """Even's construction: L1 = O + O-bar, L2 = O + reversed(O-bar)."""
     if p.o.graph != g:
         raise InputError("pair does not belong to this graph")
-    arcs1 = p.o.arcs | p.o_bar.arcs
-    arcs2 = p.o.arcs | frozenset((v, u) for u, v in p.o_bar.arcs)
-    return LinearOrderPair(_tournament_order(g.n, arcs1),
-                           _tournament_order(g.n, arcs2))
+    return LinearOrderPair(_tournament_order(p.o, p.o_bar),
+                           _tournament_order(p.o, p.o_bar.reversed()))
 
 
 def intersection_graph(pair: LinearOrderPair) -> Graph:
@@ -178,7 +172,9 @@ def pair_action_orbits(g: Graph, max_n: int = DEFAULT_VERTEX_BOUND,
     so every orbit has exactly |Aut| members (asserted).
     """
     pairs = orientation_pairs(g, max_pairs)
-    index = {(p.o.arcs, p.o_bar.arcs): i for i, p in enumerate(pairs)}
+    index = {(p.o, p.o_bar): i for i, p in enumerate(pairs)}
+    # the action is componentwise: move each orientation once per generator
+    moved = cache(act)
     aut = brute_force_aut(g, max_n=max_n)
     gens = list(aut.generators) or [Permutation.identity(g.n)]
     seen = [False] * len(pairs)
@@ -192,9 +188,7 @@ def pair_action_orbits(g: Graph, max_n: int = DEFAULT_VERTEX_BOUND,
         while frontier:
             current = frontier.pop()
             for s in gens:
-                key = (_act_arcs(s, current.o.arcs),
-                       _act_arcs(s, current.o_bar.arcs))
-                j = index[key]
+                j = index[moved(s, current.o), moved(s, current.o_bar)]
                 if not seen[j]:
                     seen[j] = True
                     members.append(j)
@@ -219,8 +213,8 @@ def _involution_label(sigma: Permutation, o0: Orientation,
     The reading is taken against one fixed pair, but which parts get
     reversed does not depend on that choice.
     """
-    reverses_o = _act_arcs(sigma, o0.arcs) != o0.arcs
-    reverses_ob = _act_arcs(sigma, ob0.arcs) != ob0.arcs
+    reverses_o = act(sigma, o0) != o0
+    reverses_ob = act(sigma, ob0) != ob0
     assert reverses_o or reverses_ob, "nonidentity element fixed a pair"
     if not reverses_o:
         return "horizontal"

@@ -11,7 +11,9 @@ import pytest
 from comparability import graphs, oracles, orientations
 from comparability.cli import load_graph, main
 from comparability.errors import InputError
-from comparability.graphs import Graph, from_edge_list_text, to_edge_list_text, to_graph6
+from comparability.graphs import (
+    Graph, from_edge_list_text, substitute, to_edge_list_text, to_graph6,
+)
 from comparability.modular import build_modular_tree, tree_to_json
 from comparability.permgraphs import LinearOrderPair, intersection_graph
 
@@ -267,3 +269,27 @@ def test_cli_paths_run_no_exhaustive_sweep(tmp_path, capsys, no_sweeps):
                 assert code == 0 and rebuilt == g and "symmetry" not in data
             else:
                 assert code == 0 and out.startswith("permutation graph\n")
+
+
+def test_cli_paths_build_no_arc_set(tmp_path, capsys, monkeypatch):
+    # orientations stay per-vertex masks from forcing to output: the
+    # frozenset of arc tuples is only ever built on request
+    def refuse(self):
+        raise AssertionError("arc set built on a CLI path")
+
+    monkeypatch.setattr(orientations.Orientation, "arcs", property(refuse))
+    subst, _ = substitute(Graph.path(4), {0: Graph.complete(3),
+                                          3: Graph.empty(2)})
+    prime = _permutation_graph(_simple_permutation(random.Random(7), 60))
+    for name, g in {"p5": Graph.path(5), "subst": subst,
+                    "prime60": prime}.items():
+        path = write_graph(tmp_path, name, g)
+        for argv in (["perm", path], ["--format", "svg", "perm", path],
+                     ["orientations", path, "--count"], ["aut", path]):
+            code, out, err = run(capsys, *argv)
+            # past the oracle bound, a prime node's symmetry class and
+            # group are refused
+            if name == "prime60" and argv[0] in ("perm", "aut"):
+                assert code == 3 and "refuses n=60" in err, argv
+            else:
+                assert code == 0 and out and not err, argv

@@ -163,9 +163,11 @@ def test_each_chain_extends_a_transitive_orientation():
         cx = construct_cx(g)
         for c in four_chains(cx).chains:
             pos = {v: i for i, v in enumerate(c)}
-            arcs = frozenset((u, v) if pos[u] < pos[v] else (v, u)
-                             for u, v in cx.graph.edges)
-            assert is_transitive(cx.graph, Orientation(cx.graph, arcs))
+            out = [0] * cx.graph.n
+            for u, v in cx.graph.edges:
+                a, b = (u, v) if pos[u] < pos[v] else (v, u)
+                out[a] |= 1 << b
+            assert is_transitive(cx.graph, Orientation(cx.graph, tuple(out)))
 
 
 def test_perturbed_chains_fail_with_categorized_report():

@@ -10,7 +10,6 @@ import pytest
 
 from comparability import modular
 from comparability.errors import InputError
-from comparability.groups import _graph_from_tree
 from comparability.graphs import (
     Graph, disjoint_union, is_degenerate, is_module, is_prime, substitute,
 )
@@ -19,6 +18,9 @@ from comparability.modular import (
     alternating_path_adjacent, build_modular_tree, check_tree,
     decomposition_step, is_prime_graph, quotient, tree_of, tree_to_dot,
     tree_to_json, trees_isomorphic,
+)
+from comparability.orientations import (
+    compose_orientation, is_comparability, orientation_choices,
 )
 from comparability.oracles import (
     graphs_up_to, nonisomorphic_graphs, pairwise_maximal_modules,
@@ -265,7 +267,9 @@ def _assert_index_matches_scan(g):
         pos = {v: i for i, v in enumerate(node.members)}
         assert t.node_graph(node.id) == \
             Graph(len(pos), [(pos[u], pos[v]) for u, v in scanned])
-    assert _graph_from_tree(t) == g
+    local = [e for edges in t.local_edges for e in edges]
+    assert t.out_masks(local + [(b, a) for a, b in local]) == \
+        tuple(g.adjacency_mask(v) for v in range(g.n))
 
 
 def test_local_edge_index_agrees_with_scan_catalog():
@@ -279,6 +283,60 @@ def test_local_edge_index_agrees_with_scan_substituted():
         g = _substitution_graph(rng, rng.randint(2, 60))
         _assert_index_matches_scan(g)
         _assert_index_matches_scan(g.complement())
+
+
+def _expand_block_against_block(t, pairs):
+    """Reference for ModularTree.out_masks: each member pair (a, b) as
+    every vertex under a against every vertex under b, one arc at a time."""
+    under = {}
+    for node in t.nodes:
+        if node.is_leaf:
+            under.update((v, (v,)) for v in node.members)
+        else:
+            under.update((m, t.nodes[c].vertices_under)
+                         for m, c in zip(node.members, node.children))
+    out = [0] * t.n
+    for a, b in pairs:
+        for u in under[a]:
+            for v in under[b]:
+                out[u] |= 1 << v
+    return tuple(out)
+
+
+def _assert_out_masks_match_expansion(g):
+    t = build_modular_tree(g)
+    local = [e for edges in t.local_edges for e in edges]
+    for pairs in (local, [(b, a) for a, b in local]):
+        assert t.out_masks(pairs) == _expand_block_against_block(t, pairs), g
+    if not is_comparability(g):
+        return
+    # the first orientation, composed the old way: prime nodes by their
+    # forced orientation in member ids, complete nodes earlier to later
+    c = next(orientation_choices(t))
+    pairs = []
+    for nid, bit in c.prime_bits:
+        members = t.nodes[nid].members
+        pairs += [(members[a], members[b])
+                  for a, b in t.prime_plans[nid][bit].arcs]
+    for nid, order in c.linear_orders:
+        rank = {m: i for i, m in enumerate(order)}
+        pairs += [(a, b) if rank[a] < rank[b] else (b, a)
+                  for a, b in t.local_edges[nid]]
+    assert compose_orientation(t, c).out == \
+        _expand_block_against_block(t, pairs), g
+
+
+def test_out_masks_match_block_expansion_catalog():
+    for g in graphs_up_to(6):
+        _assert_out_masks_match_expansion(g)
+
+
+def test_out_masks_match_block_expansion_substituted():
+    rng = random.Random(1980)
+    for _ in range(25):
+        g = _substitution_graph(rng, rng.randint(2, 60))
+        _assert_out_masks_match_expansion(g)
+        _assert_out_masks_match_expansion(g.complement())
 
 
 def test_tree_primality_equals_subset_sweep_n_le_7():

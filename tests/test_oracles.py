@@ -3,6 +3,8 @@ that do no pruning at all."""
 
 from __future__ import annotations
 
+import gc
+import weakref
 from itertools import permutations
 from math import factorial
 
@@ -10,6 +12,7 @@ import pytest
 
 from comparability.errors import InputError, OracleBoundError
 from comparability.graphs import Graph, disjoint_union, substitute
+from comparability.modular import tree_of
 from comparability.oracles import (
     are_isomorphic, brute_force_aut, brute_force_iso, canonical_key,
     graphs_up_to, nonisomorphic_graphs, pairwise_maximal_modules,
@@ -141,3 +144,22 @@ def test_pairwise_maximal_modules():
         pairwise_maximal_modules(disjoint_union([Graph.path(4)] * 2))
     with pytest.raises(InputError):
         pairwise_maximal_modules(Graph.path(3))     # complement disconnected
+
+
+def test_graph_is_freed_after_the_oracle():
+    # the refinement colours stay on the graph, not in a cache keyed on
+    # it, so a graph dropped after brute_force_aut is freed with its tree
+    # and complement; the search's recursive closure is a reference cycle,
+    # so one collection is needed, taken here with automatic runs off
+    gc.disable()
+    try:
+        g = Graph.path(6)
+        tree_of(g)
+        assert brute_force_aut(g).order() == 2
+        assert refine_colors(g) is refine_colors(g)
+        refs = [weakref.ref(x) for x in (g, tree_of(g), g.complement())]
+        del g
+        gc.collect()
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()

@@ -26,36 +26,49 @@ from comparability.permgraphs import LinearOrderPair, intersection_graph
 from comparability.perms import Permutation
 
 
-def arcs_of(*pairs):
-    return frozenset(pairs)
+def orient(g, *arcs):
+    """The orientation of g holding exactly the given arcs."""
+    out = [0] * g.n
+    for u, v in arcs:
+        out[u] |= 1 << v
+    return Orientation(g, tuple(out))
 
 
 def test_orientation_must_cover_edges():
     g = Graph.path(3)
     with pytest.raises(InputError):
-        Orientation(g, arcs_of((0, 1)))                    # missing an edge
+        orient(g, (0, 1))                                  # missing an edge
     with pytest.raises(InputError):
-        Orientation(g, arcs_of((0, 1), (1, 0)))            # both directions
+        orient(g, (0, 1), (1, 0))                          # both directions
     with pytest.raises(InputError):
-        Orientation(g, arcs_of((0, 1), (0, 2)))            # non-edge
-    o = Orientation(g, arcs_of((1, 0), (1, 2)))
+        orient(g, (0, 1), (0, 2))                          # non-edge
+    for out in [(0b10, 0b100),                             # too short
+                (0b10, 0b100, 0, 0),                       # too long
+                (0b110, 0b100, 0),                         # bit on non-edge
+                (0b10, 0b100, -1),                         # negative mask
+                (0b10, 0b1000, 0)]:                        # bit past n
+        with pytest.raises(InputError):
+            Orientation(g, out)
+    o = orient(g, (1, 0), (1, 2))
+    assert o.out == (0, 0b101, 0)
     assert o.sorted_arcs() == ((1, 0), (1, 2))
+    assert o.arcs == {(1, 0), (1, 2)}
     assert o.reversed().reversed() == o
 
 
 def test_is_transitive_k3():
     k3 = Graph.complete(3)
-    assert is_transitive(k3, Orientation(k3, arcs_of((0, 1), (1, 2), (0, 2))))
-    assert not is_transitive(k3, Orientation(k3, arcs_of((0, 1), (1, 2), (2, 0))))
+    assert is_transitive(k3, orient(k3, (0, 1), (1, 2), (0, 2)))
+    assert not is_transitive(k3, orient(k3, (0, 1), (1, 2), (2, 0)))
 
 
 def test_is_transitive_p4_prime_orientation():
     p4 = Graph.path(4)
-    assert is_transitive(p4, Orientation(p4, arcs_of((0, 1), (2, 1), (2, 3))))
+    assert is_transitive(p4, orient(p4, (0, 1), (2, 1), (2, 3)))
 
 
 def test_is_transitive_rejects_foreign_orientation():
-    o = Orientation(Graph.path(3), arcs_of((0, 1), (1, 2)))
+    o = orient(Graph.path(3), (0, 1), (1, 2))
     with pytest.raises(InputError):
         is_transitive(Graph.complete(3), o)
 
@@ -82,7 +95,7 @@ def _mask_scan_orientations(g):
         for u, v in arcs:
             succ[u] |= 1 << v
         if all(succ[v] & ~succ[u] == 0 for u, v in arcs):
-            found.append(Orientation(g, frozenset(arcs)))
+            found.append(orient(g, *arcs))
     return tuple(found)
 
 
@@ -322,10 +335,10 @@ def test_act_is_a_left_action():
 
 def test_stabilizer_examples():
     k3 = Graph.complete(3)
-    lin = Orientation(k3, arcs_of((0, 1), (0, 2), (1, 2)))
+    lin = orient(k3, (0, 1), (0, 2), (1, 2))
     assert orientation_stabilizer(k3, lin).order() == 1
     e3 = Graph.empty(3)
-    assert orientation_stabilizer(e3, Orientation(e3, frozenset())).order() == 6
+    assert orientation_stabilizer(e3, orient(e3)).order() == 6
     p4 = Graph.path(4)
     for o in prime_orientations(p4):
         assert orientation_stabilizer(p4, o).order() == 1
@@ -333,7 +346,7 @@ def test_stabilizer_examples():
 
 def test_stabilizer_rejects_non_transitive():
     k3 = Graph.complete(3)
-    cyclic = Orientation(k3, arcs_of((0, 1), (1, 2), (2, 0)))
+    cyclic = orient(k3, (0, 1), (1, 2), (2, 0))
     with pytest.raises(InputError):
         orientation_stabilizer(k3, cyclic)
 

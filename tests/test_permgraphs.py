@@ -259,6 +259,21 @@ def two_orders(draw):
             tuple(draw(st.permutations(range(n)))))
 
 
+def _tournament_order_of_arcs(n, arcs):
+    """Reference for the two orders: a vertex's rank from its out-degree
+    in the arc set of a transitive tournament, checked arc by arc."""
+    assert len(arcs) == n * (n - 1) // 2, "union does not cover all pairs"
+    succ = [0] * n
+    for u, v in arcs:
+        succ[u] |= 1 << v
+    assert all(succ[v] & ~succ[u] == 0 for u, v in arcs), "cycle in union"
+    out = [0] * n
+    for u, _ in arcs:
+        out[u] += 1
+    assert sorted(out) == list(range(n))
+    return tuple(sorted(range(n), key=lambda v: -out[v]))
+
+
 @settings(max_examples=30, deadline=None, database=None)
 @given(two_orders())
 def test_two_order_graphs_recognized_rebuilt_and_counted(orders):
@@ -266,7 +281,12 @@ def test_two_order_graphs_recognized_rebuilt_and_counted(orders):
     assert is_permutation_graph(g)
     pair = OrientationPair(next(transitive_orientations(g)),
                            next(transitive_orientations(g.complement())))
-    assert intersection_graph(build_representation(g, pair)) == g
+    rep = build_representation(g, pair)
+    assert intersection_graph(rep) == g
+    o, o_bar = pair.o.arcs, pair.o_bar.arcs
+    assert (rep.l1, rep.l2) == (
+        _tournament_order_of_arcs(g.n, o | o_bar),
+        _tournament_order_of_arcs(g.n, o | {(v, u) for u, v in o_bar}))
     t = tree_of(g)
     expected = 1
     for node in t.nodes:
